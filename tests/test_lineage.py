@@ -1,8 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from conftest import random_ordinal
 import ionkit.lineage
 import ionkit.objlang
 from ionkit.lineage import (
@@ -28,7 +30,7 @@ from ionkit.lineage import (
 )
 from ionkit.notation import compile_ordinal
 from ionkit.objlang import Fuel, evaluate, parse, serialize
-from ionkit.ordinals import ZERO, format_ordinal, from_int, parse_ordinal
+from ionkit.ordinals import ZERO, descent_walk, format_ordinal, from_int, parse_ordinal
 
 
 def o(text):
@@ -301,3 +303,61 @@ def test_event_log_file_roundtrip(tmp_path):
     for line in lines:
         json.loads(line)  # one JSON object per line
     assert read_event_log(path) == log
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: which RNG draws each descent path takes, and in what order
+#
+# Two runs of the same code always agree, so only pinned digests catch a
+# change in draw order: asexual creation and descent walks call the picker at
+# limits only, while multi-parent and nondeterministic creation draw on every
+# step, successors included.
+# ---------------------------------------------------------------------------
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+GOLDEN_RUNS = [
+    (("w^2+w*3+2",), AsexualOnly(), 0, 200),
+    (("w^3",), AsexualOnly(), 1, 200),
+    (("w^(w+1)*2+3",), AsexualOnly(), 2, 200),
+    (("w*5+1",), AsexualOnly(), 3, 10**6),
+    (("w", "w*2"), MixedEveryK(3), 0, 60),
+    (("w", "w*2"), MixedEveryK(3), 7, 60),
+    (("w^2",), MixedEveryK(4), 123, 80),
+    (("w^w", "3"), MixedEveryK(4), 5, 80),
+]
+
+
+def test_golden_event_logs(tmp_path):
+    data = b""
+    for i, (founders, policy, seed, max_events) in enumerate(GOLDEN_RUNS):
+        cfg = LineageConfig(
+            founder_intelligences=tuple(o(f) for f in founders), policy=policy,
+            rng_seed=seed, max_events=max_events,
+        )
+        path = tmp_path / f"run{i}.jsonl"
+        write_event_log(run_lineage(cfg), path)
+        data += path.read_bytes()
+    assert _sha(data) == "e1430f9eaa23e3762c729df19cac5246d4d9be07aed908cbed6612aea5ae7c5a"
+
+
+def test_golden_nondeterministic_draws():
+    parents = ("7", "w", "w+1", "w^2+w*2", "w^w+3")
+    lines = []
+    for seed in range(50):
+        parent = agent(parents[seed % len(parents)])
+        child, ev = nondeterministic_create(parent, 3, random.Random(seed), child_id=1)
+        lines.append(f"{format_ordinal(child.intelligence)} {ev.seed_used}\n")
+    assert _sha("".join(lines).encode()) == "f65dbccc4cceae2a438fdece1ce41e1ad7dbad9435e69cc956af4e849600a5b2"
+
+
+def test_golden_descent_walks():
+    lines = []
+    for seed in range(20):
+        picks = random.Random(seed)
+        start = random_ordinal(random.Random(seed), 3)
+        walk = descent_walk(start, lambda a: picks.randint(0, 2), max_len=10**6)
+        lines.append(" ".join(format_ordinal(x) for x in walk) + "\n")
+    assert _sha("".join(lines).encode()) == "e4a9f851d7878b1aae5bb255a8b2151de7e2d338cbfd69782e5677048e4677b1"
