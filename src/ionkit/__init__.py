@@ -44,6 +44,7 @@ from .ordinals import (
     classify,
     compare,
     depth,
+    descend,
     descent_walk,
     format_ordinal,
     from_int,
@@ -106,7 +107,7 @@ __all__ = [
     "Ordinal", "ZERO", "ONE", "OMEGA", "from_int",
     "add", "mul", "omega_pow", "natural_sum",
     "compare", "Comparison", "Kind", "classify", "predecessor", "depth",
-    "fundamental_sequence", "descent_walk",
+    "fundamental_sequence", "descend", "descent_walk",
     "parse_ordinal", "format_ordinal",
     "OrdinalError", "OrdinalParseError",
     "HydraTree", "parse_hydra", "hydra_to_ordinal", "hydra_step", "hydra_trajectory",

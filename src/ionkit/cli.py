@@ -1,7 +1,8 @@
 """Command-line front end: ion compile / run / verify / value / compare / hydra / lineage.
 
-Exit codes: 0 success, 1 domain errors (unparsable input, missing files,
-certificate mismatch, refuted verification under --expect), 2 usage errors.
+Exit codes: 0 success, 1 domain errors (unparsable input or input nested too
+deep, missing files, certificate mismatch, refuted verification under
+--expect), 2 usage errors.
 Human output goes to stdout in surface syntax / canonical program text;
 ``--json`` switches stdout to one machine-readable JSON object (the lineage
 command without ``-o`` emits JSON lines). All error text goes to stderr.
@@ -17,7 +18,6 @@ from pathlib import Path
 
 from .objlang import Fuel, ObjLangError, evaluate, parse, serialize
 from .ordinals import (
-    Comparison,
     OrdinalError,
     compare,
     format_ordinal,
@@ -30,7 +30,6 @@ from .notation import (
     ProvenMember,
     Refuted,
     certificate_text,
-    compile_ordinal,
     parse_certificate,
     source_of,
     value_lower_bound,
@@ -51,7 +50,10 @@ from .lineage import (
 
 __all__ = ["main"]
 
-_DOMAIN_ERRORS = (ObjLangError, OrdinalError, LineageError, OSError, ValueError)
+# RecursionError: input nested too deep for the recursive parsers and evaluator.
+_DOMAIN_ERRORS = (
+    ObjLangError, OrdinalError, LineageError, OSError, ValueError, RecursionError,
+)
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_MAX_OUTPUTS = 16

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence, Union
@@ -26,15 +26,13 @@ from .objlang import Program, parse, serialize
 from .ordinals import (
     OMEGA,
     ZERO,
-    Kind,
     Ordinal,
-    classify,
-    format_ordinal,
-    fundamental_sequence,
-    natural_sum,
     add,
+    descend,
+    format_ordinal,
+    fundamental_sequence,  # unused here; perfbench's tracer test looks up this binding
+    natural_sum,
     parse_ordinal,
-    predecessor,
 )
 
 __all__ = [
@@ -160,13 +158,6 @@ class LineageConfig:
 # creation operations
 # ---------------------------------------------------------------------------
 
-def _descend(a: Ordinal, n: int) -> Ordinal:
-    """One strict descent step: predecessor, or the n-th sequence member."""
-    if classify(a) is Kind.SUCCESSOR:
-        return predecessor(a)
-    return fundamental_sequence(a, n)
-
-
 def asexual_create(
     parent: Agent,
     picker: Callable[[Ordinal], int],
@@ -182,12 +173,7 @@ def asexual_create(
     intel = parent.intelligence
     if intel == ZERO:
         raise SterileAgentError(f"agent {parent.id} has intelligence 0")
-    if classify(intel) is Kind.SUCCESSOR:
-        child_intel = predecessor(intel)
-        seed_used = -1
-    else:
-        seed_used = picker(intel)
-        child_intel = fundamental_sequence(intel, seed_used)
+    child_intel, seed_used = descend(intel, picker)
     assert child_intel < intel  # single-parent descent is structural
     child = Agent(child_id, child_intel, (parent.id,), parent.generation + 1)
     event = LineageEvent(
@@ -214,7 +200,12 @@ def nondeterministic_create(
         raise SterileAgentError(f"agent {parent.id} has intelligence 0")
     if k < 1:
         raise ValueError("k must be >= 1")
-    candidates = [_descend(intel, rng.randint(0, 16)) for _ in range(k)]
+    candidates = []
+    for _ in range(k):
+        # One draw per candidate even at a successor, where it goes unused:
+        # the draw order is part of every reproducible log.
+        n = rng.randint(0, 16)
+        candidates.append(descend(intel, lambda lam: n)[0])
     seed_used = rng.randrange(k)
     child_intel = candidates[seed_used]
     assert child_intel < intel
@@ -258,7 +249,8 @@ def multi_parent_create(
     for _ in range(m):
         if child_intel == ZERO:
             break
-        child_intel = _descend(child_intel, rng.randint(0, 16))
+        n = rng.randint(0, 16)  # one draw per step, as in nondeterministic_create
+        child_intel = descend(child_intel, lambda lam: n)[0]
     generation = 1 + max(p.generation for p in parents)
     child = Agent(child_id, child_intel, tuple(ids), generation)
     event = LineageEvent(

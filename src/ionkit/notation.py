@@ -37,10 +37,8 @@ from typing import Union
 
 from .objlang import (
     Assign,
-    Concat,
     Equals,
     EvalError,
-    Expr,
     Fuel,
     Head,
     IfElse,
@@ -52,7 +50,6 @@ from .objlang import (
     Program,
     Statement,
     Tail,
-    Trace,
     TraceStatus,
     TrueCond,
     Var,
@@ -69,10 +66,8 @@ from .ordinals import (
     Ordinal,
     add,
     classify,
-    compare,
-    Comparison,
     format_ordinal,
-    parse_ordinal,
+    fundamental_sequence,
     predecessor,
 )
 
@@ -485,14 +480,9 @@ def compile_ordinal(a: Ordinal) -> Program:
         return Program(())
     if kind is Kind.SUCCESSOR:
         return Program((Print(Literal(source_of(predecessor(a)))),))
-    exp, coeff = a.terms[-1]
-    if exp == ONE:
-        # a = base + w; the A0 skeleton counts upward from the base.
-        if coeff > 1:
-            base = Ordinal(a.terms[:-1] + ((exp, coeff - 1),))
-        else:
-            base = Ordinal(a.terms[:-1])
-        return _a0_program(source_of(base))
+    if a.terms[-1][0] == ONE:
+        # a = base + w with base = a[0]; the A0 skeleton counts upward from it.
+        return _a0_program(source_of(fundamental_sequence(a, 0)))
     return _driver_program(_encode(a))
 
 
@@ -625,14 +615,21 @@ def _split_fuel(fuel: Fuel, n: int) -> list[Fuel]:
     ]
 
 
-def _verify_at(
+def _explore(
     p: Program,
     fuel: Fuel,
     level: int,
     path: tuple[int, ...],
     max_depth: int,
     acct: _Acct,
-) -> Verdict:
+) -> Refuted | tuple[bool, Ordinal]:
+    """Walk ``p``'s output tree: the first refutation, else (proven, bound).
+
+    ``bound`` is the sup of (child bound + 1) over the outputs; it is the
+    exact value when ``proven``, that is when every execution in the subtree
+    halted within fuel. An output nested too deep for the interpreter's stack
+    is left unexplored with bound 0, never taken as a counterexample.
+    """
     acct.evals += 1
     if level > acct.max_level:
         acct.max_level = level
@@ -640,38 +637,37 @@ def _verify_at(
         tr = evaluate(p, fuel)
     except (EvalError, OpenProgramError) as exc:
         return Refuted(path, f"runtime error: {exc}")
+    except RecursionError:
+        return False, ZERO
     acct.steps += tr.steps_used
-    children: list[Program] = []
+    children: list[Program | None] = []
     for i, text in enumerate(tr.outputs):
         try:
             children.append(parse(text))
         except ParseError as exc:
             acct.outputs += i + 1
             return Refuted(path + (i,), f"output does not parse: {exc}")
+        except RecursionError:
+            children.append(None)
     acct.outputs += len(children)
-    halted = tr.status is TraceStatus.HALTED
+    proven = tr.status is TraceStatus.HALTED
     if level == max_depth:
-        if halted and not children:
-            return ProvenMember(ZERO)
-        return Inconclusive(len(children), level)
-    inconclusive = not halted
-    child_values: list[Ordinal] = []
+        # An output is a candidate of value >= 0 even unexplored.
+        return proven and not children, (ONE if children else ZERO)
+    bound = ZERO
     for i, (child, child_fuel) in enumerate(zip(children, _split_fuel(fuel, len(children)))):
-        v = _verify_at(child, child_fuel, level + 1, path + (i,), max_depth, acct)
-        if isinstance(v, Refuted):
-            return v
-        if isinstance(v, ProvenMember) and v.exact_value is not None:
-            child_values.append(v.exact_value)
+        if child is None:
+            proven, child_bound = False, ZERO
         else:
-            inconclusive = True
-    if inconclusive:
-        return Inconclusive(len(children), level)
-    exact = ZERO
-    for cv in child_values:
-        cand = add(cv, ONE)
-        if cand > exact:
-            exact = cand
-    return ProvenMember(exact)
+            r = _explore(child, child_fuel, level + 1, path + (i,), max_depth, acct)
+            if isinstance(r, Refuted):
+                return r
+            child_proven, child_bound = r
+            proven = proven and child_proven
+        cand = add(child_bound, ONE)
+        if cand > bound:
+            bound = cand
+    return proven, bound
 
 
 def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
@@ -688,35 +684,13 @@ def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     acct = _Acct()
-    verdict = _verify_at(p, fuel, 1, (), max_depth, acct)
-    if isinstance(verdict, Inconclusive):
-        verdict = Inconclusive(acct.outputs, acct.max_level)
+    r = _explore(p, fuel, 1, (), max_depth, acct)
+    if isinstance(r, Refuted):
+        verdict: Verdict = r
+    else:
+        proven, bound = r
+        verdict = ProvenMember(bound) if proven else Inconclusive(acct.outputs, acct.max_level)
     return VerificationResult(verdict, FuelSpent(acct.steps, acct.outputs, acct.evals))
-
-
-def _bound_at(p: Program, fuel: Fuel, level: int, max_depth: int) -> tuple[Ordinal, bool]:
-    try:
-        tr = evaluate(p, fuel)
-    except (EvalError, OpenProgramError):
-        return ZERO, True
-    children: list[Program] = []
-    for text in tr.outputs:
-        try:
-            children.append(parse(text))
-        except ParseError:
-            return ZERO, True
-    if level == max_depth:
-        # A child that at least parses is a candidate of value >= 0.
-        return (ONE if children else ZERO), False
-    best = ZERO
-    for child, child_fuel in zip(children, _split_fuel(fuel, len(children))):
-        b, refuted = _bound_at(child, child_fuel, level + 1, max_depth)
-        if refuted:
-            return ZERO, True
-        cand = add(b, ONE)
-        if cand > best:
-            best = cand
-    return best, False
 
 
 def value_lower_bound(p: Program, fuel: Fuel, max_depth: int) -> tuple[Ordinal, bool]:
@@ -725,18 +699,13 @@ def value_lower_bound(p: Program, fuel: Fuel, max_depth: int) -> tuple[Ordinal, 
     Returns (bound, refuted). Non-decreasing in fuel and depth, and never
     above the true value for genuine notations. If membership is refuted
     anywhere in the explored tree the value is undefined; (0, True) is
-    returned and the bound must be ignored.
+    returned and the bound must be ignored. The tree is the one ``verify``
+    walks, so a ProvenMember(v) verdict means (v, False) here.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    return value_lower_bound_with_flag(p, fuel, max_depth)
-
-
-def value_lower_bound_with_flag(
-    p: Program, fuel: Fuel, max_depth: int
-) -> tuple[Ordinal, bool]:
-    bound, refuted = _bound_at(p, fuel, 1, max_depth)
-    return (ZERO, True) if refuted else (bound, False)
+    r = _explore(p, fuel, 1, (), max_depth, _Acct())
+    return (ZERO, True) if isinstance(r, Refuted) else (r[1], False)
 
 
 # ---------------------------------------------------------------------------

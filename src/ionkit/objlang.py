@@ -27,7 +27,7 @@ Literal escapes are exactly ``\\'``, ``\\\\``, and ``\\n``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NoReturn, Union
 

@@ -43,6 +43,7 @@ __all__ = [
     "classify",
     "predecessor",
     "fundamental_sequence",
+    "descend",
     "descent_walk",
     "format_ordinal",
     "parse_ordinal",
@@ -246,14 +247,11 @@ def predecessor(a: Ordinal) -> Ordinal:
     """Predecessor of a successor ordinal."""
     if classify(a) is not Kind.SUCCESSOR:
         raise ValueError(f"{a!r} is not a successor")
-    exp, coeff = a.terms[-1]
-    if coeff > 1:
-        return Ordinal(a.terms[:-1] + ((exp, coeff - 1),))
-    return Ordinal(a.terms[:-1])
+    return _minus_last_power(a)[0]
 
 
 def _minus_last_power(a: Ordinal) -> tuple[Ordinal, Ordinal]:
-    """Split a limit as (rest, beta) with a = rest + w^beta, beta the last exponent."""
+    """Split nonzero a as (rest, beta) with a = rest + w^beta, beta the last exponent."""
     exp, coeff = a.terms[-1]
     if coeff > 1:
         rest = Ordinal(a.terms[:-1] + ((exp, coeff - 1),))
@@ -282,6 +280,21 @@ def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
     return add(rest, step)
 
 
+def descend(a: Ordinal, picker: Callable[[Ordinal], int]) -> tuple[Ordinal, int]:
+    """One strict descent step below a nonzero ``a``: (child, picked index).
+
+    A successor steps to its predecessor without calling ``picker``, and the
+    index is -1; a limit steps to member picker(a) of its fundamental sequence.
+    """
+    kind = classify(a)
+    if kind is Kind.SUCCESSOR:
+        return predecessor(a), -1
+    if kind is Kind.ZERO:
+        raise ValueError("0 has no descent step")
+    n = picker(a)
+    return fundamental_sequence(a, n), n
+
+
 def descent_walk(
     start: Ordinal,
     picker: Callable[[Ordinal], int],
@@ -298,10 +311,7 @@ def descent_walk(
     while current.terms:
         if len(walk) >= max_len:
             raise MaxLenExceededError(f"walk exceeded max_len={max_len}")
-        if classify(current) is Kind.SUCCESSOR:
-            current = predecessor(current)
-        else:
-            current = fundamental_sequence(current, picker(current))
+        current = descend(current, picker)[0]
         walk.append(current)
     return walk
 

@@ -34,6 +34,7 @@ def test_exit_code_table(tmp_path, capsys):
         (["value", str(pw), "--max-outputs", "3"], 0),
         (["compare", "w*2", "w+5"], 0),
         (["compare", "w*2"], 2),                        # missing positional
+        (["compare", "(" * 3000 + "1" + ")" * 3000, "1"], 1),  # nested too deep
         (["hydra", "((" ], 1),                          # malformed shape
         (["lineage", "--founder", "2"], 0),
         (["frobnicate"], 2),                            # unknown subcommand

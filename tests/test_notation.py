@@ -227,6 +227,46 @@ def test_value_never_exceeds_true_value():
 
 
 # ---------------------------------------------------------------------------
+# verify and value_lower_bound walk one tree
+# ---------------------------------------------------------------------------
+
+def test_verify_and_value_lower_bound_agree(corpus200):
+    # the programs and fuels of acceptance criterion 4, mutants included
+    cases = [
+        (compile_ordinal(a), fuel, 4, a)
+        for a in corpus200
+        for fuel in (Fuel(800, 2), Fuel(3000, 3), Fuel(12000, 5))
+    ]
+    for i, a in enumerate(corpus200[:20]):
+        prefix = evaluate(compile_ordinal(a), Fuel(10**7, i % 3)).outputs if i % 3 else ()
+        stmts = tuple(Print(Literal(s)) for s in prefix)
+        mutant = Program(stmts + (Print(Literal("### not a program ###")),))
+        cases.append((mutant, Fuel(10**5, 8), 3, a))
+    for p, fuel, max_depth, a in cases:
+        verdict = verify(p, fuel, max_depth).verdict
+        bound, refuted = value_lower_bound(p, fuel, max_depth)
+        assert refuted == isinstance(verdict, Refuted), (serialize(p)[:80], fuel)
+        if isinstance(verdict, ProvenMember):
+            assert bound == verdict.exact_value, (serialize(p)[:80], fuel)
+        assert bound <= a, (serialize(p)[:80], fuel)
+
+
+# An output the recursive parser cannot take, and a valid program the
+# recursive evaluator cannot run: each is unexplored, never a counterexample.
+DEEP_HEAD = "Print(" + "Head(" * 2000 + "'a'" + ")" * 2000 + ");End"
+LONG_CHAIN = "Print(" + "+".join(["'a'"] * 3000) + ");End"
+
+
+@pytest.mark.parametrize("text", [DEEP_HEAD, LONG_CHAIN], ids=["deep_head", "long_chain"])
+def test_output_too_deep_for_the_stack_is_inconclusive(text):
+    p = Program((Print(Literal(text)),))
+    r = verify(p, AMPLE, 4)
+    assert isinstance(r.verdict, Inconclusive)
+    assert r.fuel_spent.outputs == 1
+    assert value_lower_bound(p, AMPLE, 4) == (ONE, False)
+
+
+# ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
 
