@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from conftest import random_ordinal
+from ionkit import notation
 from ionkit.objlang import Fuel, Literal, Print, Program, evaluate, parse, serialize
 from ionkit.notation import (
     Inconclusive,
@@ -81,6 +82,35 @@ def test_successor_of_limit_prints_limit_source():
         a = o(expr)
         t = evaluate(compile_ordinal(a), AMPLE)
         assert t.outputs == (source_of(predecessor(a)),)
+
+
+# The compositional tests compare compiled programs with each other, so a
+# changed skeleton passes them all; these digests pin the bytes themselves.
+GOLDEN_SOURCES = {
+    "w": "edbafd5aeef2964538fcead1d952321d40d646fe6a840ddff8f15fec13502d1e",
+    "w*3+2": "b6651a1060dcbac346127e3d6ed7eb133224afe63aafd0dc04daaa69dd341434",
+    "w^2": "a9b60e6c4fb22ef07a894abf51105562863adee5ecc19afa206dc5aea2978892",
+    "w^w": "855b0cf7ef75d8796e993f99b022e7d40e2aeb754355f67b23484e2d888533eb",
+    "w^(w+1)*2+w": "592d89b09110aad70796f1d8f0aabb97850f8f7767c58f434ed4223ef85bf5bf",
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_skeleton_sources():
+    assert _sha(notation._A0_REST) == (
+        "d3fbf3060f8ccb6e8b2c6691e7d32ee006cf2c57508fddf2433fe48d11e8bc74"
+    )
+    assert _sha(notation._DRIVER_CODE_TEXT) == (
+        "c4ac0a5fa5fda1335e579c1ae72fa6ceea717f59db36b01f707e1c5fc4c05e64"
+    )
+
+
+@pytest.mark.parametrize("expr", sorted(GOLDEN_SOURCES))
+def test_golden_compiled_sources(expr):
+    assert _sha(source_of(o(expr))) == GOLDEN_SOURCES[expr]
 
 
 # ---------------------------------------------------------------------------
