@@ -1,8 +1,8 @@
 """Command-line front end: ion compile / run / verify / value / compare / hydra / lineage.
 
 Exit codes: 0 success, 1 domain errors (unparsable input or input nested too
-deep, missing files, certificate mismatch, refuted verification under
---expect), 2 usage errors.
+deep, missing files, a malformed lineage config, certificate mismatch, refuted
+verification under --expect), 2 usage errors.
 Human output goes to stdout in surface syntax / canonical program text;
 ``--json`` switches stdout to one machine-readable JSON object (the lineage
 command without ``-o`` emits JSON lines). All error text goes to stderr.
@@ -246,6 +246,19 @@ def _cmd_hydra(args: argparse.Namespace) -> int:
     return 0
 
 
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _config_field(data: dict, key: str, kind: type, default=None):
+    """``data[key]`` if it has JSON type ``kind``; ``default`` when absent or null."""
+    value = data.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"config field {key!r} must be {_JSON_TYPES[kind]}")
+    return value
+
+
 def _load_lineage_config(args: argparse.Namespace) -> LineageConfig | None:
     founders = [parse_ordinal(f) for f in args.founder or []]
     policy = args.policy
@@ -254,19 +267,28 @@ def _load_lineage_config(args: argparse.Namespace) -> LineageConfig | None:
     rule = MultiParentRule()
     if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         if not founders:
-            founders = [parse_ordinal(f) for f in data.get("founders", [])]
-        if policy is None and "policy" in data:
-            policy = _policy(data["policy"])
+            texts = _config_field(data, "founders", list, [])
+            if not all(isinstance(t, str) for t in texts):
+                raise ValueError("config field 'founders' must be a list of strings")
+            founders = [parse_ordinal(t) for t in texts]
+        text = _config_field(data, "policy", str)
+        if policy is None and text is not None:
+            try:
+                policy = _policy(text)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config field 'policy': {exc}") from None
         if seed is None:
-            seed = data.get("seed")
+            seed = _config_field(data, "seed", int)
         if max_events is None:
-            max_events = data.get("maxEvents")
-        if "multiParentRule" in data:
-            raw = data["multiParentRule"]
+            max_events = _config_field(data, "maxEvents", int)
+        raw = _config_field(data, "multiParentRule", dict)
+        if raw is not None:
             rule = MultiParentRule(
-                bonus=parse_ordinal(raw.get("bonus", "w")),
-                max_descent=int(raw.get("maxDescent", 4)),
+                bonus=parse_ordinal(_config_field(raw, "bonus", str, "w")),
+                max_descent=_config_field(raw, "maxDescent", int, 4),
             )
     if not founders:
         return None

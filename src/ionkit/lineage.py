@@ -325,26 +325,18 @@ def run_lineage(config: LineageConfig) -> list[LineageEvent]:
 
     k = config.policy.k
     for i in range(1, config.max_events + 1):
-        if i % k == 0 and len(agents) >= 2:
+        fertile = [ag for ag in agents if ag.intelligence != ZERO]
+        if len(agents) >= 2 and (i % k == 0 or not fertile):
             parents = _most_intelligent(agents, 2)
             child, event = multi_parent_create(
                 parents, config.multi_parent_rule, rng, len(agents), index
             )
+        elif fertile:
+            parent = _most_intelligent(fertile, 1)[0]
+            child, event = asexual_create(parent, picker, len(agents), index)
         else:
-            fertile = [ag for ag in agents if ag.intelligence != ZERO]
-            if fertile:
-                parent = _most_intelligent(fertile, 1)[0]
-                child, event = asexual_create(parent, picker, len(agents), index)
-            elif len(agents) >= 2:
-                parents = _most_intelligent(agents, 2)
-                child, event = multi_parent_create(
-                    parents, config.multi_parent_rule, rng, len(agents), index
-                )
-            else:
-                events.append(
-                    LineageEvent(EventKind.STERILE, agents[0].id, (), ZERO, -1, index)
-                )
-                return events
+            events.append(LineageEvent(EventKind.STERILE, agents[0].id, (), ZERO, -1, index))
+            return events
         agents.append(child)
         events.append(event)
         index += 1

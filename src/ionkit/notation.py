@@ -142,35 +142,41 @@ def _decode(s: str) -> Ordinal:
 # skeleton A0: limits of the form base + w*c
 #
 # X holds the current output's source; each iteration prints it and re-wraps
-# it in Print('...');End, escaping quotes and backslashes by hand.
+# it in Print('...');End, escaping quotes and backslashes with the same loop
+# the driver uses.
 # ---------------------------------------------------------------------------
 
-_A0_WHILE = While(
-    TrueCond(),
-    (
-        Print(Var("X")),
-        Assign("E", Literal("")),
-        Assign("R", Var("X")),
+def _esc_stmts(src: str, dst: str, walk: str = "V", char: str = "M") -> tuple[Statement, ...]:
+    """dst = src with backslashes doubled and quotes backslashed, one char per pass."""
+    return (
+        Assign(dst, Literal("")),
+        Assign(walk, Var(src)),
         While(
-            Not(Equals(Var("R"), Literal(""))),
+            Not(Equals(Var(walk), Literal(""))),
             (
-                Assign("H", Head(Var("R"))),
-                Assign("R", Tail(Var("R"))),
+                Assign(char, Head(Var(walk))),
+                Assign(walk, Tail(Var(walk))),
                 IfElse(
-                    Equals(Var("H"), Literal("'")),
-                    (Assign("E", concat(Var("E"), Literal("\\'"))),),
+                    Equals(Var(char), Literal("'")),
+                    (Assign(dst, concat(Var(dst), Literal("\\'"))),),
                     (
                         IfElse(
-                            Equals(Var("H"), Literal("\\")),
-                            (Assign("E", concat(Var("E"), Literal("\\\\"))),),
-                            (Assign("E", concat(Var("E"), Var("H"))),),
+                            Equals(Var(char), Literal("\\")),
+                            (Assign(dst, concat(Var(dst), Literal("\\\\"))),),
+                            (Assign(dst, concat(Var(dst), Var(char))),),
                         ),
                     ),
                 ),
             ),
         ),
-        Assign("X", concat(Literal("Print('"), Var("E"), Literal("');End"))),
-    ),
+    )
+
+
+_A0_WHILE = While(
+    TrueCond(),
+    (Print(Var("X")),)
+    + _esc_stmts("X", "E", walk="R", char="H")
+    + (Assign("X", concat(Literal("Print('"), Var("E"), Literal("');End"))),),
 )
 
 # Serialization of everything after the X= assignment, shared with the driver.
@@ -195,32 +201,6 @@ def _a0_program(base_source: str) -> Program:
 #   J pending successor wraps   Y pending omega wraps
 #   U escaped text   V escape-loop walk
 # ---------------------------------------------------------------------------
-
-def _esc_stmts(src: str, dst: str) -> tuple[Statement, ...]:
-    """dst = src with backslashes doubled and quotes backslashed."""
-    return (
-        Assign(dst, Literal("")),
-        Assign("V", Var(src)),
-        While(
-            Not(Equals(Var("V"), Literal(""))),
-            (
-                Assign("M", Head(Var("V"))),
-                Assign("V", Tail(Var("V"))),
-                IfElse(
-                    Equals(Var("M"), Literal("'")),
-                    (Assign(dst, concat(Var(dst), Literal("\\'"))),),
-                    (
-                        IfElse(
-                            Equals(Var("M"), Literal("\\")),
-                            (Assign(dst, concat(Var(dst), Literal("\\\\"))),),
-                            (Assign(dst, concat(Var(dst), Var("M"))),),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-
 
 def _first_split_stmts(src: str) -> tuple[Statement, ...]:
     """Split the leading term of a nonempty encoding held in ``src``.

@@ -138,15 +138,14 @@ class Var:
 
 @dataclass(frozen=True, slots=True)
 class Concat:
-    # Canonical form is right-nested: the left operand is never itself a
-    # Concat. The surface syntax has no parentheses around `+`, so this is
-    # what makes parse(serialize(e)) == e an identity.
-    left: "Expr"
-    right: "Expr"
+    # Canonical form is flat: two or more parts, none of them a Concat. The
+    # surface syntax has no parentheses around `+`, so this is what makes
+    # parse(serialize(e)) == e an identity.
+    parts: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.left, Concat):
-            raise ValueError("Concat chains nest to the right; use concat(...)")
+        if len(self.parts) < 2 or Concat in map(type, self.parts):
+            raise ValueError("Concat takes two or more parts, none a Concat; use concat(...)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,19 +228,16 @@ class Program:
 
 
 def concat(*parts: Expr) -> Expr:
-    """Fold expressions into a canonical right-nested concatenation chain."""
+    """Flatten expressions into one canonical concatenation."""
     atoms: list[Expr] = []
     for p in parts:
-        while isinstance(p, Concat):
-            atoms.append(p.left)
-            p = p.right
-        atoms.append(p)
+        if isinstance(p, Concat):
+            atoms.extend(p.parts)
+        else:
+            atoms.append(p)
     if not atoms:
         return Literal("")
-    out = atoms[-1]
-    for a in reversed(atoms[:-1]):
-        out = Concat(a, out)
-    return out
+    return atoms[0] if len(atoms) == 1 else Concat(tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +260,11 @@ def _emit_expr(e: Expr, parts: list[str]) -> None:
             parts.append("'")
         case Var(name=n):
             parts.append(n)
-        case Concat(left=l, right=r):
-            _emit_expr(l, parts)
-            parts.append("+")
-            _emit_expr(r, parts)
+        case Concat(parts=ps):
+            _emit_expr(ps[0], parts)
+            for x in ps[1:]:
+                parts.append("+")
+                _emit_expr(x, parts)
         case Head(arg=a):
             parts.append("Head(")
             _emit_expr(a, parts)
@@ -459,7 +456,7 @@ class _Parser:
                 parts.append(self.atom())
             else:
                 break
-        return concat(*parts)
+        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
 
     def atom(self) -> Expr:
         self.skip_ws()
@@ -542,9 +539,8 @@ def _expr_reads(e: Expr, out: set[str]) -> None:
         match node:
             case Var(name=n):
                 out.add(n)
-            case Concat(left=l, right=r):
-                stack.append(l)
-                stack.append(r)
+            case Concat(parts=ps):
+                stack.extend(ps)
             case Head(arg=a) | Tail(arg=a):
                 stack.append(a)
             case _:
@@ -726,10 +722,16 @@ def _compile_expr(e: Expr) -> Callable[[_Run], object]:
             def read(run: _Run, _n=n):
                 return run.env[_n]  # closedness is checked before running
             return read
-        case Concat(left=l, right=r):
-            lf, rf = _compile_expr(l), _compile_expr(r)
+        case Concat(parts=ps):
+            first, *rest = map(_compile_expr, ps)
+            if len(rest) == 1:  # the escape loops' E=E+M: the fold minus its loop
+                second = rest[0]
+                return lambda run: _concat_val(first(run), second(run))
             def cat(run: _Run):
-                return _concat_val(lf(run), rf(run))
+                v = first(run)
+                for f in rest:
+                    v = _concat_val(v, f(run))
+                return v
             return cat
         case Head(arg=a):
             af = _compile_expr(a)

@@ -24,6 +24,20 @@ def test_exit_code_table(tmp_path, capsys):
     pw = tmp_path / "pw.ion"
     bad = tmp_path / "bad.ion"
     bad.write_text("garbage")
+    chain = tmp_path / "chain.ion"
+    chain.write_text("Print(" + "+".join(["'a'"] * 3000) + ");End")
+    configs = []
+    for i, text in enumerate([
+        '{"founders":["w"],"maxEvents":"5"}',
+        '["w"]',
+        '{"founders":5}',
+        '{"founders":["w"],"multiParentRule":5}',
+        '{"founders":["w"],"seed":[1]}',
+        '{"founders":["w"],"policy":5}',
+        '{"founders":["w"],"policy":"mixed:0"}',
+    ]):
+        configs.append(tmp_path / f"cfg{i}.json")
+        configs[-1].write_text(text)
     table = [
         (["compile", "w", "-o", str(pw)], 0),           # success with output file
         (["compile", "w^^2"], 1),                       # ordinal parse error
@@ -38,11 +52,17 @@ def test_exit_code_table(tmp_path, capsys):
         (["hydra", "((" ], 1),                          # malformed shape
         (["lineage", "--founder", "2"], 0),
         (["frobnicate"], 2),                            # unknown subcommand
+        (["run", str(chain)], 0),                       # 3000-part `+` chain
+    ] + [
+        (["lineage", "--config", str(cfg)], 1)          # malformed config field
+        for cfg in configs
     ]
     for argv, expected in table:
         rc = main(argv)
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert rc == expected, argv
+        if rc == 1:
+            assert err.startswith("error: "), (argv, err)
 
 
 def test_usage_error_on_bad_flag_value(capsys):

@@ -129,11 +129,18 @@ def test_parse_rejects_keyword_identifiers():
 
 
 def test_concat_constructor_rejects_left_nesting():
+    a, b, c = Literal("a"), Literal("b"), Literal("c")
     with pytest.raises(ValueError):
-        Concat(Concat(Literal("a"), Literal("b")), Literal("c"))
-    # the helper folds to the right instead
-    e = concat(Literal("a"), Literal("b"), Literal("c"))
-    assert e == Concat(Literal("a"), Concat(Literal("b"), Literal("c")))
+        Concat((Concat((a, b)), c))
+    with pytest.raises(ValueError):
+        Concat((a, Concat((b, c))))
+    for short in ((), (a,)):
+        with pytest.raises(ValueError):
+            Concat(short)
+    # the helper flattens instead
+    assert concat(a, b, c) == Concat((a, b, c))
+    assert concat(concat(a, b), c) == concat(a, concat(b, c)) == Concat((a, b, c))
+    assert concat(a) == a and concat() == Literal("")
 
 
 def test_literal_rejects_unprintable():
@@ -145,6 +152,20 @@ def test_literal_rejects_unprintable():
 # ---------------------------------------------------------------------------
 # roundtrip properties
 # ---------------------------------------------------------------------------
+
+def test_long_concat_chain_roundtrips_and_runs():
+    # 3000 parts: more than the default recursion limit allows nested frames
+    parts = [Literal("a") if i % 2 else Var("X") for i in range(3000)]
+    e = concat(*parts)
+    assert isinstance(e, Concat) and len(e.parts) == 3000
+    p = Program((Assign("X", Literal("b")), Print(e)))
+    src = serialize(p)
+    assert src == "X='b';Print(" + "+".join(["X", "'a'"] * 1500) + ");End"
+    assert parse(src) == p
+    assert hash(parse(src)) == hash(p)
+    assert repr(p).count("Literal(") == 1501
+    assert evaluate(p, Fuel(10, 1)) == Trace(("ba" * 1500,), TraceStatus.HALTED, 2)
+
 
 idents = st.sampled_from(["A", "B", "C", "X2"])
 literal_text = st.text(
