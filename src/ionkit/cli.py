@@ -260,43 +260,39 @@ def _config_field(data: dict, key: str, kind: type, default=None):
 
 
 def _load_lineage_config(args: argparse.Namespace) -> LineageConfig | None:
-    founders = [parse_ordinal(f) for f in args.founder or []]
-    policy = args.policy
-    seed = args.seed
-    max_events = args.max_events
-    rule = MultiParentRule()
+    # Every config field is checked, also one that a flag then overrides.
+    founders, policy, seed, max_events, rule = [], AsexualOnly(), 0, 100, MultiParentRule()
     if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        if not founders:
-            texts = _config_field(data, "founders", list, [])
-            if not all(isinstance(t, str) for t in texts):
-                raise ValueError("config field 'founders' must be a list of strings")
-            founders = [parse_ordinal(t) for t in texts]
+        texts = _config_field(data, "founders", list, [])
+        if not all(isinstance(t, str) for t in texts):
+            raise ValueError("config field 'founders' must be a list of strings")
+        founders = [parse_ordinal(t) for t in texts]
         text = _config_field(data, "policy", str)
-        if policy is None and text is not None:
+        if text is not None:
             try:
                 policy = _policy(text)
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"config field 'policy': {exc}") from None
-        if seed is None:
-            seed = _config_field(data, "seed", int)
-        if max_events is None:
-            max_events = _config_field(data, "maxEvents", int)
+        seed = _config_field(data, "seed", int, seed)
+        max_events = _config_field(data, "maxEvents", int, max_events)
         raw = _config_field(data, "multiParentRule", dict)
         if raw is not None:
             rule = MultiParentRule(
                 bonus=parse_ordinal(_config_field(raw, "bonus", str, "w")),
                 max_descent=_config_field(raw, "maxDescent", int, 4),
             )
+    if args.founder:
+        founders = [parse_ordinal(f) for f in args.founder]
     if not founders:
         return None
     return LineageConfig(
         founder_intelligences=tuple(founders),
-        policy=policy if policy is not None else AsexualOnly(),
-        rng_seed=seed if seed is not None else 0,
-        max_events=max_events if max_events is not None else 100,
+        policy=policy if args.policy is None else args.policy,
+        rng_seed=seed if args.seed is None else args.seed,
+        max_events=max_events if args.max_events is None else args.max_events,
         multi_parent_rule=rule,
     )
 

@@ -144,6 +144,7 @@ class Concat:
     parts: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "parts", tuple(self.parts))
         if len(self.parts) < 2 or Concat in map(type, self.parts):
             raise ValueError("Concat takes two or more parts, none a Concat; use concat(...)")
 
@@ -456,7 +457,7 @@ class _Parser:
                 parts.append(self.atom())
             else:
                 break
-        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
+        return concat(*parts)
 
     def atom(self) -> Expr:
         self.skip_ws()
@@ -724,9 +725,6 @@ def _compile_expr(e: Expr) -> Callable[[_Run], object]:
             return read
         case Concat(parts=ps):
             first, *rest = map(_compile_expr, ps)
-            if len(rest) == 1:  # the escape loops' E=E+M: the fold minus its loop
-                second = rest[0]
-                return lambda run: _concat_val(first(run), second(run))
             def cat(run: _Run):
                 v = first(run)
                 for f in rest:

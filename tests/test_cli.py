@@ -35,6 +35,7 @@ def test_exit_code_table(tmp_path, capsys):
         '{"founders":["w"],"seed":[1]}',
         '{"founders":["w"],"policy":5}',
         '{"founders":["w"],"policy":"mixed:0"}',
+        '{"founders":["w"],"seed":"x"}',
     ]):
         configs.append(tmp_path / f"cfg{i}.json")
         configs[-1].write_text(text)
@@ -56,6 +57,8 @@ def test_exit_code_table(tmp_path, capsys):
     ] + [
         (["lineage", "--config", str(cfg)], 1)          # malformed config field
         for cfg in configs
+    ] + [
+        (["lineage", "--seed", "1", "--config", str(configs[-1])], 1),  # checked if overridden
     ]
     for argv, expected in table:
         rc = main(argv)

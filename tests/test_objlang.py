@@ -141,6 +141,11 @@ def test_concat_constructor_rejects_left_nesting():
     assert concat(a, b, c) == Concat((a, b, c))
     assert concat(concat(a, b), c) == concat(a, concat(b, c)) == Concat((a, b, c))
     assert concat(a) == a and concat() == Literal("")
+    # any sequence of parts is stored as a tuple, so the node stays hashable
+    listed = Concat([a, b])
+    program = Program((Print(listed),))
+    assert listed == Concat((a, b)) and parse(serialize(program)) == program
+    assert hash(listed) == hash(Concat((a, b)))
 
 
 def test_literal_rejects_unprintable():
