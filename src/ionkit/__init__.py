@@ -70,6 +70,7 @@ from .notation import (
     decompile,
     parse_certificate,
     source_of,
+    source_size,
     succ_notation,
     value_lower_bound,
     verify,
@@ -112,7 +113,7 @@ __all__ = [
     "OrdinalError", "OrdinalParseError",
     "HydraTree", "parse_hydra", "hydra_to_ordinal", "hydra_step", "hydra_trajectory",
     # notation system
-    "compile_ordinal", "source_of", "succ_notation", "decompile",
+    "compile_ordinal", "source_of", "source_size", "succ_notation", "decompile",
     "verify", "value_lower_bound",
     "ProvenMember", "Refuted", "Inconclusive", "FuelSpent", "VerificationResult",
     "certificate_text", "parse_certificate",

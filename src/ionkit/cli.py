@@ -1,8 +1,9 @@
 """Command-line front end: ion compile / run / verify / value / compare / hydra / lineage.
 
 Exit codes: 0 success, 1 domain errors (unparsable input or input nested too
-deep, missing files, a malformed lineage config, certificate mismatch, refuted
-verification under --expect), 2 usage errors.
+deep, missing files, a malformed lineage config, a compiled source over
+``MAX_SOURCE_BYTES``, certificate mismatch, refuted verification under
+--expect), 2 usage errors.
 Human output goes to stdout in surface syntax / canonical program text;
 ``--json`` switches stdout to one machine-readable JSON object (the lineage
 command without ``-o`` emits JSON lines). All error text goes to stderr.
@@ -32,6 +33,7 @@ from .notation import (
     certificate_text,
     parse_certificate,
     source_of,
+    source_size,
     value_lower_bound,
     verify,
 )
@@ -58,6 +60,10 @@ _DOMAIN_ERRORS = (
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_MAX_OUTPUTS = 16
 DEFAULT_DEPTH = 8
+# Source size about doubles per unit of the finite tail or of the
+# w-coefficient (w*17 is 4.46 MB, w*30 36.5 GB), so a small ordinal can ask
+# for a source far beyond memory.
+MAX_SOURCE_BYTES = 64 * 2**20
 
 
 def _positive_int(text: str) -> int:
@@ -100,6 +106,12 @@ def _add_fuel_flags(sub: argparse.ArgumentParser, depth: bool = False) -> None:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     a = parse_ordinal(args.ordinal)
+    size = source_size(a, MAX_SOURCE_BYTES)
+    if size > MAX_SOURCE_BYTES:
+        raise ValueError(
+            f"the source of {format_ordinal(a)} would be at least {size} bytes;"
+            f" ion compile refuses sources over {MAX_SOURCE_BYTES} bytes"
+        )
     src = source_of(a)
     cert = certificate_text(a, src)
     if args.out:

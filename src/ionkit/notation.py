@@ -55,6 +55,7 @@ from .objlang import (
     Var,
     While,
     concat,
+    escape_loop,
     evaluate,
     parse,
     serialize,
@@ -74,6 +75,7 @@ from .ordinals import (
 __all__ = [
     "compile_ordinal",
     "source_of",
+    "source_size",
     "decompile",
     "succ_notation",
     "ProvenMember",
@@ -148,28 +150,7 @@ def _decode(s: str) -> Ordinal:
 
 def _esc_stmts(src: str, dst: str, walk: str = "V", char: str = "M") -> tuple[Statement, ...]:
     """dst = src with backslashes doubled and quotes backslashed, one char per pass."""
-    return (
-        Assign(dst, Literal("")),
-        Assign(walk, Var(src)),
-        While(
-            Not(Equals(Var(walk), Literal(""))),
-            (
-                Assign(char, Head(Var(walk))),
-                Assign(walk, Tail(Var(walk))),
-                IfElse(
-                    Equals(Var(char), Literal("'")),
-                    (Assign(dst, concat(Var(dst), Literal("\\'"))),),
-                    (
-                        IfElse(
-                            Equals(Var(char), Literal("\\")),
-                            (Assign(dst, concat(Var(dst), Literal("\\\\"))),),
-                            (Assign(dst, concat(Var(dst), Var(char))),),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
+    return (Assign(dst, Literal("")), Assign(walk, Var(src)), escape_loop(walk, char, dst))
 
 
 _A0_WHILE = While(
@@ -470,6 +451,38 @@ def compile_ordinal(a: Ordinal) -> Program:
 def source_of(a: Ordinal) -> str:
     """serialize(compile_ordinal(a)), memoized."""
     return serialize(compile_ordinal(a))
+
+
+# A source is End or a driver, wrapped first in the A0 skeleton once per
+# w-coefficient and then in Print('...') once per finite-tail unit. A wrap
+# escapes what it holds, so its text adds one byte per quote and backslash
+# inside, and its quotes and backslashes follow from those counts alone.
+_PRINT_FRAME = serialize(Program((Print(Literal("")),)))
+_A0_FRAME = serialize(_a0_program(""))
+
+
+def _counts(text: str) -> tuple[int, int, int]:
+    return len(text), text.count("'"), text.count("\\")
+
+
+def source_size(a: Ordinal, limit: int | None = None) -> int:
+    """``len(source_of(a))`` from the recurrence above, without building the text.
+
+    Sources never hold a raw newline, so quotes and backslashes are the only
+    characters a wrap escapes. With ``limit``, counting stops as soon as the
+    length passes it: the result is then above ``limit`` and at most the
+    true length, and the cost stays small however many wraps are left.
+    """
+    coeff = dict(a.terms)
+    core = Ordinal(tuple(t for t in a.terms if t[0] > ONE))
+    n, q, b = _counts(source_of(core))
+    wraps = [(_counts(_A0_FRAME), coeff.get(ONE, 0)), (_counts(_PRINT_FRAME), coeff.get(ZERO, 0))]
+    for (fn, fq, fb), times in wraps:
+        for _ in range(times):
+            if limit is not None and n > limit:
+                return n
+            n, q, b = n + q + b + fn, q + fq, 2 * b + q + fb
+    return n
 
 
 def succ_notation(p: Program) -> Program:

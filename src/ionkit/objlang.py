@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, NoReturn, Union
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "parse",
     "serialize",
     "escape_literal",
+    "escape_loop",
     "check_closed",
     "Fuel",
     "TraceStatus",
@@ -713,7 +715,8 @@ class _Run:
 
 # The AST is translated to a tree of closures once per evaluate() call; the
 # compiled notation programs execute hundreds of thousands of statements, and
-# per-step dispatch on AST node types would dominate the runtime.
+# per-step dispatch on AST node types would dominate the runtime. Most of those
+# statements are escape-loop passes, so a whole escape loop is one closure.
 
 def _compile_expr(e: Expr) -> Callable[[_Run], object]:
     match e:
@@ -784,6 +787,70 @@ def _compile_cond(c: Cond) -> Callable[[_Run], bool]:
             raise TypeError(f"not a Cond: {c!r}")
 
 
+# The matcher builds one loop per While it checks, on every evaluate() call;
+# the cache keeps that build off the per-call cost.
+@lru_cache(maxsize=64)
+def escape_loop(walk: str, char: str, dst: str) -> While:
+    """The object-language loop that appends ``walk``'s text to ``dst`` escaped.
+
+    One character per pass: ``char`` takes the head of ``walk``, a quote or a
+    backslash gets a backslash in front, and the loop stops when ``walk`` is
+    empty. Newlines stay raw, unlike :func:`escape_literal`. This is how a
+    program prints a program that quotes another one, and :func:`evaluate`
+    runs it as a single block charged the steps its passes would cost.
+    """
+    return While(
+        Not(Equals(Var(walk), Literal(""))),
+        (
+            Assign(char, Head(Var(walk))),
+            Assign(walk, Tail(Var(walk))),
+            IfElse(
+                Equals(Var(char), Literal("'")),
+                (Assign(dst, concat(Var(dst), Literal("\\'"))),),
+                (
+                    IfElse(
+                        Equals(Var(char), Literal("\\")),
+                        (Assign(dst, concat(Var(dst), Literal("\\\\"))),),
+                        (Assign(dst, concat(Var(dst), Var(char))),),
+                    ),
+                ),
+            ),
+        ),
+    )
+
+
+def _match_escape_loop(s: While) -> tuple[str, str, str] | None:
+    """(walk, char, dst) when ``s`` is ``escape_loop`` of three distinct names."""
+    match s:
+        case While(
+            Not(Equals(Var(walk), Literal(""))),
+            (Assign(char, _), _, IfElse(_, (Assign(dst, _),), _)),
+        ) if len({walk, char, dst}) == 3 and s == escape_loop(walk, char, dst):
+            return walk, char, dst
+    return None
+
+
+def _compile_escape_loop(walk: str, char: str, dst: str) -> Callable[[_Run], None]:
+    # The loop prints nothing and a run that stops on fuel is observed only
+    # through its outputs and step count, so when the passes do not all fit,
+    # stopping with every step spent is exactly what the passes would do.
+    def do_escape(run: _Run) -> None:
+        env = run.env
+        s = _to_str(env[walk])
+        # 1 for the final check; per character 6, or 5 for a quote, which
+        # takes the first branch and skips the inner If.
+        cost = 1 + 6 * len(s) - s.count("'")
+        if run.steps + cost > run.max_steps:
+            run.steps = run.max_steps
+            raise _FuelStop
+        run.steps += cost
+        if s:
+            env[walk] = ""
+            env[char] = s[-1]
+            env[dst] = _concat_val(env[dst], s.replace("\\", "\\\\").replace("'", "\\'"))
+    return do_escape
+
+
 def _compile_stmt(s: Statement) -> Callable[[_Run], None]:
     match s:
         case Print(expr=e):
@@ -808,6 +875,9 @@ def _compile_stmt(s: Statement) -> Callable[[_Run], None]:
                 run.env[_n] = ef(run)
             return do_assign
         case While(cond=c, body=b):
+            names = _match_escape_loop(s)
+            if names is not None:
+                return _compile_escape_loop(*names)
             cf = _compile_cond(c)
             body = tuple(_compile_stmt(st) for st in b)
             def do_while(run: _Run) -> None:
@@ -840,7 +910,8 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
     """Run ``p`` under ``fuel``; deterministic, total, and reproducible.
 
     Each statement execution costs one step (every While condition check
-    included). Raises :class:`EvalError` for Head/Tail of the empty string and
+    included). An :func:`escape_loop` runs as one block, charged exactly the
+    steps of its passes, with the same outputs and status. Raises :class:`EvalError` for Head/Tail of the empty string and
     :class:`OpenProgramError` if the program is not closed.
     """
     check_closed(p)

@@ -42,6 +42,7 @@ def test_exit_code_table(tmp_path, capsys):
     table = [
         (["compile", "w", "-o", str(pw)], 0),           # success with output file
         (["compile", "w^^2"], 1),                       # ordinal parse error
+        (["compile", "w*30"], 1),                       # source of tens of GB
         (["run", str(pw), "--max-outputs", "2"], 0),    # normal run
         (["run", str(tmp_path / "nope.ion")], 1),       # missing file
         (["run", str(bad)], 1),                         # unparsable program

@@ -17,6 +17,7 @@ from ionkit.notation import (
     decompile,
     parse_certificate,
     source_of,
+    source_size,
     succ_notation,
     value_lower_bound,
     verify,
@@ -111,6 +112,31 @@ def test_golden_skeleton_sources():
 @pytest.mark.parametrize("expr", sorted(GOLDEN_SOURCES))
 def test_golden_compiled_sources(expr):
     assert _sha(source_of(o(expr))) == GOLDEN_SOURCES[expr]
+
+
+# ---------------------------------------------------------------------------
+# source size without the source
+# ---------------------------------------------------------------------------
+
+@hyp.given(st.integers(0, 2**31))
+def test_source_size_is_the_source_length(seed):
+    a = random_ordinal(random.Random(seed), 3)
+    coeff = dict(a.terms)
+    hyp.assume(coeff.get(ONE, 0) + coeff.get(ZERO, 0) <= 4)  # small sources only
+    size = len(source_of(a))
+    assert source_size(a) == size
+    # with a limit below the size, counting stops above the limit
+    assert source_size(a, size) == size
+    if size > 3:
+        assert size // 2 < source_size(a, size // 2) <= size
+
+
+def test_source_size_goldens():
+    assert source_size(ZERO) == 3 and source_size(from_int(2)) == 31
+    assert source_size(o("w*17")) == len(source_of(o("w*17"))) == 4459069
+    assert source_size(o("w*30")) == 36507226665  # too large to build here
+    # about 2x per wrap: counting stops at the first wrap past 64 MiB
+    assert source_size(o("w*30"), 2**26) == source_size(o("w*21")) == 71306413
 
 
 # ---------------------------------------------------------------------------

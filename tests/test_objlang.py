@@ -2,6 +2,8 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
+from ionkit import objlang
+from ionkit.notation import _esc_stmts, compile_ordinal
 from ionkit.objlang import (
     Assign,
     Concat,
@@ -24,10 +26,13 @@ from ionkit.objlang import (
     While,
     check_closed,
     concat,
+    escape_literal,
+    escape_loop,
     evaluate,
     parse,
     serialize,
 )
+from ionkit.ordinals import parse_ordinal
 
 # ---------------------------------------------------------------------------
 # serialization goldens
@@ -190,8 +195,15 @@ conds = st.recursive(
     lambda c: st.builds(Not, c),
     max_leaves=4,
 )
+# escape loops under three distinct names: src, then walk, char and dst
+esc_names = st.permutations(["A", "B", "C", "X2"])
 stmts = st.recursive(
-    st.one_of(st.builds(Print, exprs), st.builds(Assign, idents, exprs)),
+    st.one_of(
+        st.builds(Print, exprs),
+        st.builds(Assign, idents, exprs),
+        esc_names.map(lambda ns: IfElse(TrueCond(), _esc_stmts(ns[0], ns[3], ns[1], ns[2]), ())),
+        esc_names.map(lambda ns: escape_loop(*ns[1:])),
+    ),
     lambda s: st.one_of(
         st.builds(While, conds, st.lists(s, max_size=3).map(tuple)),
         st.builds(
@@ -343,3 +355,120 @@ def test_check_closed_sequential_flow():
     check_closed(parse("X='a';Y=X;Print(Y);End"))
     with pytest.raises(OpenProgramError):
         check_closed(parse("Y=X;X='a';End"))
+
+
+# ---------------------------------------------------------------------------
+# the escape loop runs as one block: same Trace as running it pass by pass
+# ---------------------------------------------------------------------------
+
+def _fast_and_plain(p: Program, fuel: Fuel):
+    """The Trace (or EvalError text) of ``p``, escape loops fused and not."""
+    def outcome():
+        try:
+            return evaluate(p, fuel)
+        except EvalError as exc:
+            return str(exc)
+
+    fast = outcome()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(objlang, "_match_escape_loop", lambda s: None)
+        plain = outcome()
+    return fast, plain
+
+
+VERIFY_FUEL_LADDER = ((800, 2), (3000, 3), (7000, 3), (12000, 4), (30000, 4))
+
+
+def test_escape_fusion_matches_plain_on_corpus(corpus200):
+    for a in corpus200:
+        p = compile_ordinal(a)
+        for fuel in VERIFY_FUEL_LADDER:
+            fast, plain = _fast_and_plain(p, Fuel(*fuel))
+            assert fast == plain, (a, fuel)
+
+
+@pytest.mark.parametrize("text, max_outputs", [("w*2", 2), ("w^w", 1)], ids=["a0", "driver"])
+def test_escape_fusion_matches_plain_at_every_step_budget(text, max_outputs):
+    # w*2 escapes the source of w (quotes and backslashes) on the A0 path;
+    # w^w builds its first output with the driver's wrap loops.
+    p = compile_ordinal(parse_ordinal(text))
+    full = evaluate(p, Fuel(10**7, max_outputs))
+    assert len(full.outputs) == max_outputs
+    for k in range(1, full.steps_used + 1):
+        fast, plain = _fast_and_plain(p, Fuel(k, max_outputs))
+        assert fast == plain, k
+    assert fast == full
+
+
+@hyp.given(closed_programs, st.integers(1, 600), st.integers(1, 8))
+def test_escape_fusion_matches_plain_on_random_programs(p, max_steps, max_outputs):
+    fast, plain = _fast_and_plain(p, Fuel(max_steps, max_outputs))
+    assert fast == plain
+
+
+def test_escape_loop_compiles_to_one_block():
+    loop = escape_loop("W", "H", "D")
+    assert objlang._match_escape_loop(loop) == ("W", "H", "D")
+    assert objlang._compile_stmt(loop).__name__ == "do_escape"
+
+
+_LOOP = escape_loop("A", "B", "C")
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        escape_loop("A", "A", "C"),
+        escape_loop("A", "B", "B"),
+        escape_loop("A", "B", "A"),
+        While(Not(Equals(Literal(""), Var("A"))), _LOOP.body),
+        While(_LOOP.cond, _LOOP.body + (Assign("C", Var("C")),)),
+    ],
+    ids=["walk_is_char", "char_is_dst", "walk_is_dst", "equals_swapped", "extra_statement"],
+)
+def test_escape_loop_near_misses_take_the_plain_path(loop):
+    assert objlang._match_escape_loop(loop) is None
+    assert objlang._compile_stmt(loop).__name__ == "do_while"
+    setup = tuple(Assign(v, Literal(t)) for v, t in (("A", "x'y\\z"), ("B", "b"), ("C", "c")))
+    p = Program(setup + (loop, Print(Var("A")), Print(Var("B")), Print(Var("C"))))
+    for max_steps in (1, 7, 40, 500):
+        fast, plain = _fast_and_plain(p, Fuel(max_steps, 3))
+        assert fast == plain
+
+
+@pytest.mark.parametrize(
+    "s, cost",
+    [("", 1), ("a", 7), ("'", 6), ("\\", 7), ("\n", 7), ("''", 11),
+     ("a'b\\c\nd'", 47), ("Print('End');End", 95)],
+)
+def test_escape_loop_cost_is_pinned(s, cost):
+    # 1 for the final check, then 6 per character or 5 per quote
+    assert cost == 1 + 6 * len(s) - s.count("'")
+    p = Program((
+        Assign("W", Literal(s)),
+        Assign("H", Literal("h")),
+        Assign("D", Literal(">")),
+        escape_loop("W", "H", "D"),
+        Print(Var("D")),
+        Print(Var("W")),
+        Print(Var("H")),
+    ))
+    outputs = (">" + s.replace("\\", "\\\\").replace("'", "\\'"), "", s[-1:] or "h")
+    want = Trace(outputs, TraceStatus.HALTED, 3 + cost + 3)
+    assert _fast_and_plain(p, Fuel(3 + cost + 3, 3)) == (want, want)
+    # one step short of the whole loop: the run stops with every step spent
+    short = Trace((), TraceStatus.FUEL_EXHAUSTED, 3 + cost - 1)
+    assert _fast_and_plain(p, Fuel(3 + cost - 1, 3)) == (short, short)
+
+
+def test_escape_loop_leaves_newlines_raw():
+    p = Program((
+        Assign("W", Literal("a\nb'")),
+        Assign("D", Literal("")),
+        escape_loop("W", "H", "D"),
+        Print(Var("D")),
+    ))
+    fast, plain = _fast_and_plain(p, Fuel(100, 1))
+    assert fast == plain
+    assert fast.outputs == ("a\nb\\'",)
+    assert fast.outputs[0] != escape_literal("a\nb'")
