@@ -232,6 +232,67 @@ def test_run_generation_bookkeeping():
             gen[ev.child_id] = 1 + max(gen[p] for p in ev.parent_ids)
 
 
+def _reference_run_lineage(config):
+    """The plain loop run_lineage must match: it re-sorts every agent per event."""
+    rng = random.Random(config.rng_seed)
+    events, agents = [], []
+    for intel in config.founder_intelligences:
+        agents.append(Agent(len(agents), intel))
+        events.append(LineageEvent(EventKind.FOUNDER, len(events), (), intel, -1, len(events)))
+
+    def picker(lam):
+        return rng.randint(0, 16)
+
+    def most_intelligent(pool, count):
+        return sorted(pool, key=lambda ag: (ag.intelligence, ag.id), reverse=True)[:count]
+
+    if isinstance(config.policy, AsexualOnly):
+        current = agents[-1]
+        while current.intelligence != ZERO and len(events) - len(agents) < config.max_events:
+            current, event = asexual_create(current, picker, len(events), len(events))
+            events.append(event)
+        if current.intelligence == ZERO:
+            events.append(LineageEvent(EventKind.STERILE, current.id, (), ZERO, -1, len(events)))
+        return events
+    for i in range(1, config.max_events + 1):
+        fertile = [ag for ag in agents if ag.intelligence != ZERO]
+        if len(agents) >= 2 and (i % config.policy.k == 0 or not fertile):
+            child, event = multi_parent_create(
+                most_intelligent(agents, 2), config.multi_parent_rule, rng,
+                len(agents), len(events),
+            )
+        elif fertile:
+            child, event = asexual_create(
+                most_intelligent(fertile, 1)[0], picker, len(agents), len(events)
+            )
+        else:
+            events.append(LineageEvent(EventKind.STERILE, 0, (), ZERO, -1, len(events)))
+            return events
+        agents.append(child)
+        events.append(event)
+    return events
+
+
+def test_run_matches_reference_loop():
+    configs = [
+        LineageConfig(tuple(o(f) for f in founders), policy, seed, max_events, rule)
+        for founders, policy, seed, max_events, rule in EDGE_RUNS
+    ]
+    rng = random.Random(20260825)
+    for _ in range(200):
+        founders = tuple(
+            ZERO if rng.random() < 0.3 else random_ordinal(rng, 2)
+            for _ in range(rng.randint(1, 4))
+        )
+        policy = AsexualOnly() if rng.random() < 0.3 else MixedEveryK(rng.randint(1, 4))
+        rule = MultiParentRule(random_ordinal(rng, 1), rng.randint(0, 4))
+        configs.append(
+            LineageConfig(founders, policy, rng.randrange(10**6), rng.randint(1, 100), rule)
+        )
+    for cfg in configs:
+        assert run_lineage(cfg) == _reference_run_lineage(cfg), cfg
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         LineageConfig(founder_intelligences=(), policy=AsexualOnly())
@@ -341,6 +402,32 @@ def test_golden_event_logs(tmp_path):
         write_event_log(run_lineage(cfg), path)
         data += path.read_bytes()
     assert _sha(data) == "e1430f9eaa23e3762c729df19cac5246d4d9be07aed908cbed6612aea5ae7c5a"
+
+
+EDGE_RUNS = [
+    (("0",), AsexualOnly(), 0, 5, MultiParentRule()),  # sterile founder
+    (("0",), MixedEveryK(1), 3, 5, MultiParentRule()),  # no creation is possible
+    (("0", "0"), MixedEveryK(3), 1, 8, MultiParentRule(ZERO, 2)),  # zero founders
+    (("0", "w", "0"), MixedEveryK(2), 4, 12, MultiParentRule(from_int(1), 3)),
+    (("w", "2"), MixedEveryK(1), 4, 30, MultiParentRule()),  # k=1
+    (("1", "2"), MixedEveryK(2), 6, 5, MultiParentRule()),  # ends at 0, no marker
+    (("2",), AsexualOnly(), 0, 2, MultiParentRule()),  # cap reached on the event that hits 0
+    (("1",), AsexualOnly(), 0, 1, MultiParentRule()),
+    (("w",), AsexualOnly(), 0, 1, MultiParentRule()),  # cap reached above 0
+]
+
+
+def test_golden_edge_event_logs(tmp_path):
+    data = b""
+    for i, (founders, policy, seed, max_events, rule) in enumerate(EDGE_RUNS):
+        cfg = LineageConfig(
+            founder_intelligences=tuple(o(f) for f in founders), policy=policy,
+            rng_seed=seed, max_events=max_events, multi_parent_rule=rule,
+        )
+        path = tmp_path / f"edge{i}.jsonl"
+        write_event_log(run_lineage(cfg), path)
+        data += path.read_bytes()
+    assert _sha(data) == "a4ade7a711f157f61769d781ba0a8fc519bff4f03c5a970c06c1c06161d74b67"
 
 
 def test_golden_nondeterministic_draws():

@@ -133,6 +133,31 @@ def test_parse_rejects_keyword_identifiers():
         parse("While='x';End")
 
 
+@pytest.mark.parametrize(
+    "src, offset, expected",
+    [
+        ("Print('ab", 9, "closing quote (')"),  # unterminated literal
+        ("Print('\\x');End", 8, "escape character (one of ' \\ n)"),  # bad escape
+        ("Print('ab\\", 10, "escape character (one of ' \\ n)"),  # backslash at end of input
+        ("Print('a\nb');End", 8, "printable ASCII character"),  # raw newline
+        ("Print('a\x01b');End", 8, "printable ASCII character"),
+    ],
+)
+def test_parse_literal_errors(src, offset, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.offset, exc.value.expected) == (offset, expected)
+
+
+def test_parse_literal_escapes():
+    # '\\n' is an escaped backslash then 'n', not a newline
+    p = parse("Print('a\\'b\\\\n\\n~ ');End")
+    assert p == Program((Print(Literal("a'b\\n\n~ ")),))
+    assert parse(serialize(p)) == p
+    with pytest.raises(ValueError):
+        Literal("a\tb")
+
+
 def test_concat_constructor_rejects_left_nesting():
     a, b, c = Literal("a"), Literal("b"), Literal("c")
     with pytest.raises(ValueError):
