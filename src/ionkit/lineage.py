@@ -274,72 +274,54 @@ def witness_notation(child_enumerator: Program) -> Program:
 # simulation
 # ---------------------------------------------------------------------------
 
-def _most_intelligent(agents: list[Agent], count: int) -> list[Agent]:
-    # Ties break toward the higher (newer) id.
-    return sorted(agents, key=lambda ag: (ag.intelligence, ag.id), reverse=True)[:count]
+def _rank(agent: Agent) -> tuple[Ordinal, int]:
+    # Ties break toward the higher (newer) id, so every key is unique.
+    return agent.intelligence, agent.id
 
 
 def run_lineage(config: LineageConfig) -> list[LineageEvent]:
     """Run a seeded simulation; equal configs give identical logs.
 
-    AsexualOnly: repeatedly create from the latest agent until it is sterile;
-    descent makes this terminate, and the log ends with a sterile marker.
-    MixedEveryK(k): every k-th creation event (1-based) is a multi-parent
-    event over the two most intelligent agents; other events create from the
-    most intelligent agent with nonzero intelligence, so the run always
-    reaches max_events.
+    AsexualOnly: repeatedly create from the latest agent until it is sterile
+    or max_events creations are made; descent makes this terminate.
+    MixedEveryK(k): every k-th creation event (1-based), and every event at
+    which all agents have intelligence 0, is a multi-parent event over the two
+    most intelligent agents; other events create from the most intelligent
+    agent, so the run always reaches max_events unless its one founder has 0.
+
+    A sterile marker closes the log exactly when no further creation is
+    possible: under AsexualOnly when the latest agent has intelligence 0 (also
+    when max_events was reached on the event that reached 0), under
+    MixedEveryK only for a single founder of intelligence 0. A mixed run
+    whose latest child has 0 goes on from the other agents, with no marker.
     """
     rng = random.Random(config.rng_seed)
-    events: list[LineageEvent] = []
-    agents: list[Agent] = []
-    index = 0
-    for intel in config.founder_intelligences:
-        agent = Agent(len(agents), intel)
-        agents.append(agent)
-        events.append(LineageEvent(EventKind.FOUNDER, agent.id, (), intel, -1, index))
-        index += 1
+    founders = [Agent(i, intel) for i, intel in enumerate(config.founder_intelligences)]
+    events = [
+        LineageEvent(EventKind.FOUNDER, a.id, (), a.intelligence, -1, a.id) for a in founders
+    ]
+    policy = config.policy
+    mixed = isinstance(policy, MixedEveryK)
+    # The agents a creation may use: the latest one, or under MixedEveryK the
+    # two most intelligent, best first. The top two of the old pair and the
+    # new child are the top two of the whole population.
+    ranked = sorted(founders, key=_rank, reverse=True)[:2] if mixed else founders[-1:]
 
     def picker(lam: Ordinal) -> int:
         return rng.randint(0, 16)
 
-    if isinstance(config.policy, AsexualOnly):
-        current = agents[-1]
-        created = 0
-        while True:
-            if current.intelligence == ZERO:
-                events.append(
-                    LineageEvent(
-                        EventKind.STERILE, current.id, (), ZERO, -1, index
-                    )
-                )
-                break
-            if created >= config.max_events:
-                break  # caller's cap; descent would still have ended the run
-            child, event = asexual_create(current, picker, len(agents), index)
-            agents.append(child)
-            events.append(event)
-            index += 1
-            created += 1
-            current = child
-        return events
-
-    k = config.policy.k
     for i in range(1, config.max_events + 1):
-        fertile = [ag for ag in agents if ag.intelligence != ZERO]
-        if len(agents) >= 2 and (i % k == 0 or not fertile):
-            parents = _most_intelligent(agents, 2)
-            child, event = multi_parent_create(
-                parents, config.multi_parent_rule, rng, len(agents), index
-            )
-        elif fertile:
-            parent = _most_intelligent(fertile, 1)[0]
-            child, event = asexual_create(parent, picker, len(agents), index)
+        best, n = ranked[0], len(events)  # every agent so far has one event
+        if len(ranked) == 2 and (i % policy.k == 0 or best.intelligence == ZERO):
+            child, event = multi_parent_create(ranked, config.multi_parent_rule, rng, n, n)
+        elif best.intelligence != ZERO:
+            child, event = asexual_create(best, picker, n, n)
         else:
-            events.append(LineageEvent(EventKind.STERILE, agents[0].id, (), ZERO, -1, index))
-            return events
-        agents.append(child)
+            break
         events.append(event)
-        index += 1
+        ranked = sorted([*ranked, child], key=_rank, reverse=True)[:2] if mixed else [child]
+    if len(ranked) == 1 and ranked[0].intelligence == ZERO:
+        events.append(LineageEvent(EventKind.STERILE, ranked[0].id, (), ZERO, -1, len(events)))
     return events
 
 

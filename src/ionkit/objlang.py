@@ -116,10 +116,13 @@ def _check_ident(name: str) -> None:
         raise ValueError(f"identifier {name!r} is a reserved word")
 
 
+_NON_LITERAL_CHAR_RE = re.compile(r"[^ -~\n]")
+
+
 def _check_literal_text(text: str) -> None:
-    for ch in text:
-        if ch != "\n" and not (0x20 <= ord(ch) <= 0x7E):
-            raise ValueError(f"literal contains non-printable character {ch!r}")
+    bad = _NON_LITERAL_CHAR_RE.search(text)
+    if bad:
+        raise ValueError(f"literal contains non-printable character {bad.group()!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,7 +348,11 @@ def serialize(p: Program) -> str:
 
 _IDENT_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _WS = " \t\r\n"
-_ESCAPES = {"'": "'", "\\": "\\", "n": "\n"}
+# Pieces of a literal body: runs of printable ASCII other than ' and \, and
+# the escapes \' \\ \n. The regex engine keeps state for every repetition of
+# a group until the match ends, so one match takes at most 1024 pieces and a
+# huge literal is scanned in constant memory.
+_LITERAL_PIECES_RE = re.compile(r"(?:[ -&(-\[\]-~]+|\\['\\n]){0,1024}")
 
 
 class _Parser:
@@ -483,26 +490,23 @@ class _Parser:
         return Var(m.group())
 
     def literal(self) -> Literal:
-        self.pos += 1  # opening quote
-        src, n = self.src, len(self.src)
-        chars: list[str] = []
-        while True:
-            if self.pos >= n:
-                self.fail("closing quote (')")
-            ch = src[self.pos]
-            if ch == "'":
-                self.pos += 1
-                return Literal("".join(chars))
-            if ch == "\\":
-                if self.pos + 1 >= n or src[self.pos + 1] not in _ESCAPES:
-                    self.fail("escape character (one of ' \\ n)", at=self.pos + 1)
-                chars.append(_ESCAPES[src[self.pos + 1]])
-                self.pos += 2
-                continue
-            if not (0x20 <= ord(ch) <= 0x7E):
-                self.fail("printable ASCII character", at=self.pos)
-            chars.append(ch)
-            self.pos += 1
+        start = end = self.pos + 1  # after the opening quote
+        while (more := _LITERAL_PIECES_RE.match(self.src, end).end()) != end:
+            end = more
+        if end >= len(self.src):
+            self.fail("closing quote (')", at=end)
+        if self.src[end] == "\\":
+            self.fail("escape character (one of ' \\ n)", at=end + 1)
+        if self.src[end] != "'":
+            self.fail("printable ASCII character", at=end)
+        self.pos = end + 1
+        body = self.src[start:end]
+        if "\\" in body:
+            # A body holds no NUL, so NUL can stand for an escaped backslash
+            # while the other two escapes are undone.
+            body = body.replace("\\\\", "\0").replace("\\'", "'").replace("\\n", "\n")
+            body = body.replace("\0", "\\")
+        return Literal(body)
 
     def cond(self) -> Cond:
         self.skip_ws()

@@ -153,9 +153,6 @@ def test_parse_literal_escapes():
     # '\\n' is an escaped backslash then 'n', not a newline
     p = parse("Print('a\\'b\\\\n\\n~ ');End")
     assert p == Program((Print(Literal("a'b\\n\n~ ")),))
-    assert parse(serialize(p)) == p
-    with pytest.raises(ValueError):
-        Literal("a\tb")
 
 
 def test_concat_constructor_rejects_left_nesting():
