@@ -26,6 +26,8 @@ def test_exit_code_table(tmp_path, capsys):
     bad.write_text("garbage")
     chain = tmp_path / "chain.ion"
     chain.write_text("Print(" + "+".join(["'a'"] * 3000) + ");End")
+    open_ion = tmp_path / "open.ion"
+    open_ion.write_text("Print(X);End")
     configs = []
     for i, text in enumerate([
         '{"founders":["w"],"maxEvents":"5"}',
@@ -55,18 +57,24 @@ def test_exit_code_table(tmp_path, capsys):
         (["lineage", "--founder", "2"], 0),
         (["frobnicate"], 2),                            # unknown subcommand
         (["run", str(chain)], 0),                       # 3000-part `+` chain
+        (["run", str(open_ion)], 1),                    # reads X before assigning it
     ] + [
         (["lineage", "--config", str(cfg)], 1)          # malformed config field
         for cfg in configs
     ] + [
         (["lineage", "--seed", "1", "--config", str(configs[-1])], 1),  # checked if overridden
     ]
+    messages = {
+        str(open_ion): "error: variable 'X' may be read before assignment in Print\n",
+    }
     for argv, expected in table:
         rc = main(argv)
         err = capsys.readouterr().err
         assert rc == expected, argv
         if rc == 1:
             assert err.startswith("error: "), (argv, err)
+        if argv[-1] in messages:
+            assert err == messages[argv[-1]], (argv, err)
 
 
 def test_usage_error_on_bad_flag_value(capsys):

@@ -191,6 +191,20 @@ def test_verify_refutes_runtime_error():
     assert r.verdict.path == ()
 
 
+@pytest.mark.parametrize(
+    "src, path",
+    [("Print(X);End", ()), ("Print('Print(X);End');End", (0,))],
+    ids=["root", "child"],
+)
+def test_verify_refutes_open_program(src, path):
+    # an open program is never a notation, whatever the fuel
+    reason = "runtime error: variable 'X' may be read before assignment in Print"
+    for fuel in (Fuel(1, 1), AMPLE):
+        r = verify(parse(src), fuel, 3)
+        assert r.verdict == Refuted(path, reason), fuel
+        assert value_lower_bound(parse(src), fuel, 3) == (ZERO, True)
+
+
 def test_verify_refutation_path_is_positional():
     # second output breaks; path must name index 1
     good = source_of(ZERO)

@@ -1,3 +1,7 @@
+import collections
+import hashlib
+import random
+
 import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
@@ -377,6 +381,110 @@ def test_check_closed_sequential_flow():
     check_closed(parse("X='a';Y=X;Print(Y);End"))
     with pytest.raises(OpenProgramError):
         check_closed(parse("Y=X;X='a';End"))
+
+
+# The escape loop that evaluate() runs as one block, without its End.
+_ESC_WHD = serialize(Program((escape_loop("W", "H", "D"),)))[: -len("End")]
+
+
+@pytest.mark.parametrize(
+    "src, where",
+    [
+        ("Print(X);End", "'X' may be read before assignment in Print"),
+        ("Y='a';Y=Y+X;End", "'X' may be read before assignment in assignment to 'Y'"),
+        ("While(Not(Equals(X,''))){}End", "'X' may be read before assignment in While condition"),
+        ("If(Equals('a',Head(X))){}Else{}End", "'X' may be read before assignment in If condition"),
+        ("While(True){Y='a';}Print(Y);End", "'Y' may be read before assignment in Print"),
+        ("If(True){Y='a';}Else{}Print(Y);End", "'Y' may be read before assignment in Print"),
+        ("W='ab';" + _ESC_WHD + "End", "'D' may be read before assignment in assignment to 'D'"),
+        ("D='';" + _ESC_WHD + "End", "'W' may be read before assignment in While condition"),
+        ("Print(Y+Tail(X)+Z);End", "'X' may be read before assignment in Print"),
+    ],
+    ids=["print", "assign", "while_cond", "if_cond", "while_body_only", "one_branch_only",
+         "escape_dst", "escape_walk", "first_of_sorted"],
+)
+def test_open_program_messages(src, where):
+    p = parse(src)
+    message = "variable " + where
+    with pytest.raises(OpenProgramError) as exc:
+        check_closed(p)
+    assert str(exc.value) == message
+    with pytest.raises(OpenProgramError) as exc:
+        evaluate(p, Fuel(10**6, 10))
+    assert str(exc.value) == message
+    if _ESC_WHD in src:
+        assert objlang._match_escape_loop(p.statements[1]) == ("W", "H", "D")
+
+
+_SEEDED_NAMES = ("A", "B", "C")
+
+
+def _seeded_expr(rng: random.Random, depth: int):
+    kind = rng.randrange(5 if depth else 2)
+    if kind == 0:
+        return Literal(rng.choice(("", "a", "b'", "\\", "ab\n")))
+    if kind == 1:
+        return Var(rng.choice(_SEEDED_NAMES))
+    if kind == 2:
+        return concat(_seeded_expr(rng, depth - 1), _seeded_expr(rng, depth - 1))
+    return (Head, Tail)[kind - 3](_seeded_expr(rng, depth - 1))
+
+
+def _seeded_cond(rng: random.Random, depth: int):
+    kind = rng.randrange(3 if depth else 2)
+    if kind == 0:
+        return TrueCond()
+    if kind == 1:
+        return Equals(_seeded_expr(rng, 2), _seeded_expr(rng, 2))
+    return Not(_seeded_cond(rng, depth - 1))
+
+
+def _seeded_block(rng: random.Random, depth: int) -> tuple:
+    out = []
+    for _ in range(rng.randrange(4)):
+        kind = rng.randrange(7 if depth else 4)
+        if kind == 0:
+            out.append(Print(_seeded_expr(rng, 2)))
+        elif kind in (1, 2):
+            out.append(Assign(rng.choice(_SEEDED_NAMES), _seeded_expr(rng, 2)))
+        elif kind == 3:
+            out.append(escape_loop(*rng.sample(_SEEDED_NAMES, 3)))
+        elif kind in (4, 5):
+            out.append(While(_seeded_cond(rng, 2), _seeded_block(rng, depth - 1)))
+        else:
+            out.append(IfElse(_seeded_cond(rng, 2), _seeded_block(rng, depth - 1),
+                              _seeded_block(rng, depth - 1)))
+    return tuple(out)
+
+
+def _closedness_outcome(p: Program) -> str:
+    try:
+        check_closed(p)
+        lines = ["closed"]
+    except OpenProgramError as exc:
+        lines = [f"open: {exc}"]
+    for fuel in (Fuel(1, 1), Fuel(60, 3), Fuel(400, 6)):
+        try:
+            t = evaluate(p, fuel)
+            lines.append(f"{t.outputs!r} {t.status.value} {t.steps_used}")
+        except (OpenProgramError, EvalError) as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(lines)
+
+
+def test_golden_seeded_closedness_outcomes():
+    # 2000 programs over three names, about two thirds of them open; the digest
+    # pins every check_closed and evaluate outcome under three fuels.
+    rng = random.Random(20260825)
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for _ in range(2000):
+        p = Program(_seeded_block(rng, 2))
+        outcome = _closedness_outcome(p)
+        kinds[outcome.split(":", 1)[0].split("\n", 1)[0]] += 1
+        digest.update(serialize(p).encode() + b"\0" + outcome.encode() + b"\0")
+    assert kinds["closed"] > 400 and kinds["open"] > 400, kinds
+    assert digest.hexdigest() == "5f16e316d6a8468d94e53d0ecfe6f8414429df1f8eeed46ee91c1a2e02de1d46"
 
 
 # ---------------------------------------------------------------------------
