@@ -61,6 +61,7 @@ from .objlang import (
     serialize,
 )
 from .ordinals import (
+    OMEGA,
     ONE,
     ZERO,
     Kind,
@@ -498,26 +499,6 @@ def _candidate(p: Program) -> Ordinal | None:
     ss = p.statements
     if not ss:
         return ZERO
-    if len(ss) == 1 and isinstance(ss[0], Print) and isinstance(ss[0].expr, Literal):
-        try:
-            inner = parse(ss[0].expr.text)
-        except ParseError:
-            return None
-        base = _candidate(inner)
-        return None if base is None else add(base, ONE)
-    if (
-        len(ss) == 2
-        and isinstance(ss[0], Assign)
-        and ss[0].name == "X"
-        and isinstance(ss[0].expr, Literal)
-        and ss[1] == _A0_WHILE
-    ):
-        try:
-            inner = parse(ss[0].expr.text)
-        except ParseError:
-            return None
-        base = _candidate(inner)
-        return None if base is None else add(base, Ordinal(((ONE, 1),)))
     if (
         len(ss) == len(_DRIVER_STMTS) + 2
         and isinstance(ss[0], Assign)
@@ -530,7 +511,25 @@ def _candidate(p: Program) -> Ordinal | None:
             return _decode(ss[0].expr.text)
         except ValueError:
             return None
-    return None
+    # Print('<source of a>') is a+1, and X='<source of a>' then the A0 loop is a+w.
+    if len(ss) == 1 and isinstance(ss[0], Print) and isinstance(ss[0].expr, Literal):
+        text, step = ss[0].expr.text, ONE
+    elif (
+        len(ss) == 2
+        and isinstance(ss[0], Assign)
+        and ss[0].name == "X"
+        and isinstance(ss[0].expr, Literal)
+        and ss[1] == _A0_WHILE
+    ):
+        text, step = ss[0].expr.text, OMEGA
+    else:
+        return None
+    try:
+        inner = parse(text)
+    except ParseError:
+        return None
+    base = _candidate(inner)
+    return None if base is None else add(base, step)
 
 
 def decompile(p: Program) -> Ordinal | None:

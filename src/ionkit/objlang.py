@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, NoReturn, Union
+from typing import Callable, NoReturn, Union
 
 __all__ = [
     "ObjLangError",
@@ -539,63 +539,15 @@ def parse(source: str) -> Program:
 # static closedness check
 # ---------------------------------------------------------------------------
 
-def _expr_reads(e: Expr, out: set[str]) -> None:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Var(name=n):
-                out.add(n)
-            case Concat(parts=ps):
-                stack.extend(ps)
-            case Head(arg=a) | Tail(arg=a):
-                stack.append(a)
-            case _:
-                pass
-
-
-def _cond_reads(c: Cond, out: set[str]) -> None:
-    match c:
-        case Equals(left=l, right=r):
-            _expr_reads(l, out)
-            _expr_reads(r, out)
-        case Not(inner=i):
-            _cond_reads(i, out)
-        case _:
-            pass
-
+# The compiler below is the check: the expression and condition compilers add
+# every name they read to a set, and each statement compiler compares that
+# set with the names assigned on every path to the statement.
 
 def _require_assigned(reads: set[str], assigned: set[str], where: str) -> None:
     missing = reads - assigned
     if missing:
         name = sorted(missing)[0]
         raise OpenProgramError(f"variable {name!r} may be read before assignment in {where}")
-
-
-def _check_block(stmts: Iterable[Statement], assigned: set[str]) -> set[str]:
-    current = set(assigned)
-    for s in stmts:
-        reads: set[str] = set()
-        match s:
-            case Print(expr=e):
-                _expr_reads(e, reads)
-                _require_assigned(reads, current, "Print")
-            case Assign(name=n, expr=e):
-                _expr_reads(e, reads)
-                _require_assigned(reads, current, f"assignment to {n!r}")
-                current.add(n)
-            case While(cond=c, body=b):
-                _cond_reads(c, reads)
-                _require_assigned(reads, current, "While condition")
-                # The body may never run, so its assignments do not escape.
-                _check_block(b, current)
-            case IfElse(cond=c, then_body=t, else_body=e):
-                _cond_reads(c, reads)
-                _require_assigned(reads, current, "If condition")
-                after_then = _check_block(t, current)
-                after_else = _check_block(e, current)
-                current |= after_then & after_else
-    return current
 
 
 def check_closed(p: Program) -> None:
@@ -605,7 +557,7 @@ def check_closed(p: Program) -> None:
     is per-path: a While body that reads a variable it only assigns later is
     rejected, because the first iteration would read it unassigned.
     """
-    _check_block(p.statements, set())
+    _compile_block(p.statements, set())
 
 
 # ---------------------------------------------------------------------------
@@ -722,16 +674,17 @@ class _Run:
 # per-step dispatch on AST node types would dominate the runtime. Most of those
 # statements are escape-loop passes, so a whole escape loop is one closure.
 
-def _compile_expr(e: Expr) -> Callable[[_Run], object]:
+def _compile_expr(e: Expr, reads: set[str]) -> Callable[[_Run], object]:
     match e:
         case Literal(text=t):
             return lambda run, _t=t: _t
         case Var(name=n):
+            reads.add(n)
             def read(run: _Run, _n=n):
-                return run.env[_n]  # closedness is checked before running
+                return run.env[_n]  # its statement checked that _n is assigned
             return read
         case Concat(parts=ps):
-            first, *rest = map(_compile_expr, ps)
+            first, *rest = (_compile_expr(x, reads) for x in ps)
             def cat(run: _Run):
                 v = first(run)
                 for f in rest:
@@ -739,7 +692,7 @@ def _compile_expr(e: Expr) -> Callable[[_Run], object]:
                 return v
             return cat
         case Head(arg=a):
-            af = _compile_expr(a)
+            af = _compile_expr(a, reads)
             def head(run: _Run):
                 v = af(run)
                 if type(v) is str:
@@ -753,7 +706,7 @@ def _compile_expr(e: Expr) -> Callable[[_Run], object]:
                 return _to_str(v)[0]  # _Cat is never empty
             return head
         case Tail(arg=a):
-            af = _compile_expr(a)
+            af = _compile_expr(a, reads)
             def tail(run: _Run):
                 v = af(run)
                 if type(v) is str:
@@ -770,12 +723,12 @@ def _compile_expr(e: Expr) -> Callable[[_Run], object]:
             raise TypeError(f"not an Expr: {e!r}")
 
 
-def _compile_cond(c: Cond) -> Callable[[_Run], bool]:
+def _compile_cond(c: Cond, reads: set[str]) -> Callable[[_Run], bool]:
     match c:
         case TrueCond():
             return lambda run: True
         case Equals(left=l, right=r):
-            lf, rf = _compile_expr(l), _compile_expr(r)
+            lf, rf = _compile_expr(l, reads), _compile_expr(r, reads)
             def eq(run: _Run) -> bool:
                 lv, rv = lf(run), rf(run)
                 if _vlen(lv) != _vlen(rv):
@@ -783,7 +736,7 @@ def _compile_cond(c: Cond) -> Callable[[_Run], bool]:
                 return _to_str(lv) == _to_str(rv)
             return eq
         case Not(inner=i):
-            inf = _compile_cond(i)
+            inf = _compile_cond(i, reads)
             def neg(run: _Run) -> bool:
                 return not inf(run)
             return neg
@@ -855,10 +808,19 @@ def _compile_escape_loop(walk: str, char: str, dst: str) -> Callable[[_Run], Non
     return do_escape
 
 
-def _compile_stmt(s: Statement) -> Callable[[_Run], None]:
+def _compile_block(stmts: tuple[Statement, ...], assigned: set[str]) -> tuple[tuple, set[str]]:
+    """The closures of ``stmts`` and the names assigned after them on every path."""
+    current = set(assigned)
+    return tuple(_compile_stmt(s, current) for s in stmts), current
+
+
+def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
+    """The closure of ``s``; adds the names ``s`` assigns on every path to ``current``."""
+    reads: set[str] = set()
     match s:
         case Print(expr=e):
-            ef = _compile_expr(e)
+            ef = _compile_expr(e, reads)
+            _require_assigned(reads, current, "Print")
             def do_print(run: _Run) -> None:
                 # A blocked Print ends the run without charging a step, so a
                 # program that merely fills its last output slot and then
@@ -871,7 +833,9 @@ def _compile_stmt(s: Statement) -> Callable[[_Run], None]:
                 run.outputs.append(_to_str(ef(run)))
             return do_print
         case Assign(name=n, expr=e):
-            ef = _compile_expr(e)
+            ef = _compile_expr(e, reads)
+            _require_assigned(reads, current, f"assignment to {n!r}")
+            current.add(n)
             def do_assign(run: _Run, _n=n) -> None:
                 if run.steps >= run.max_steps:
                     raise _FuelStop
@@ -879,11 +843,14 @@ def _compile_stmt(s: Statement) -> Callable[[_Run], None]:
                 run.env[_n] = ef(run)
             return do_assign
         case While(cond=c, body=b):
+            cf = _compile_cond(c, reads)
+            _require_assigned(reads, current, "While condition")
+            # The body may never run, so its assignments do not escape. A
+            # fused escape loop is checked by this same walk of its passes.
+            body, _ = _compile_block(b, current)
             names = _match_escape_loop(s)
             if names is not None:
                 return _compile_escape_loop(*names)
-            cf = _compile_cond(c)
-            body = tuple(_compile_stmt(st) for st in b)
             def do_while(run: _Run) -> None:
                 ms = run.max_steps
                 while True:
@@ -896,9 +863,11 @@ def _compile_stmt(s: Statement) -> Callable[[_Run], None]:
                         g(run)
             return do_while
         case IfElse(cond=c, then_body=t, else_body=e):
-            cf = _compile_cond(c)
-            then_fns = tuple(_compile_stmt(st) for st in t)
-            else_fns = tuple(_compile_stmt(st) for st in e)
+            cf = _compile_cond(c, reads)
+            _require_assigned(reads, current, "If condition")
+            then_fns, after_then = _compile_block(t, current)
+            else_fns, after_else = _compile_block(e, current)
+            current |= after_then & after_else
             def do_if(run: _Run) -> None:
                 if run.steps >= run.max_steps:
                     raise _FuelStop
@@ -915,11 +884,12 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
 
     Each statement execution costs one step (every While condition check
     included). An :func:`escape_loop` runs as one block, charged exactly the
-    steps of its passes, with the same outputs and status. Raises :class:`EvalError` for Head/Tail of the empty string and
-    :class:`OpenProgramError` if the program is not closed.
+    steps of its passes, with the same outputs and status. Raises
+    :class:`EvalError` for Head/Tail of the empty string, and
+    :class:`OpenProgramError` if the program is not closed: closedness is
+    checked while the closures are built, before any step runs.
     """
-    check_closed(p)
-    top = tuple(_compile_stmt(s) for s in p.statements)
+    top, _ = _compile_block(p.statements, set())
     run = _Run(fuel)
     try:
         for g in top:
@@ -927,6 +897,6 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
         status = TraceStatus.HALTED
     except _FuelStop:
         status = TraceStatus.FUEL_EXHAUSTED
-    except KeyError as exc:  # unreachable after check_closed; keep honest
+    except KeyError as exc:  # unreachable for a closed program; keep honest
         raise EvalError(f"read of unassigned variable {exc.args[0]!r}") from None
     return Trace(tuple(run.outputs), status, run.steps)

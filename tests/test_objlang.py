@@ -539,7 +539,7 @@ def test_escape_fusion_matches_plain_on_random_programs(p, max_steps, max_output
 def test_escape_loop_compiles_to_one_block():
     loop = escape_loop("W", "H", "D")
     assert objlang._match_escape_loop(loop) == ("W", "H", "D")
-    assert objlang._compile_stmt(loop).__name__ == "do_escape"
+    assert objlang._compile_stmt(loop, {"W", "D"}).__name__ == "do_escape"
 
 
 _LOOP = escape_loop("A", "B", "C")
@@ -558,7 +558,7 @@ _LOOP = escape_loop("A", "B", "C")
 )
 def test_escape_loop_near_misses_take_the_plain_path(loop):
     assert objlang._match_escape_loop(loop) is None
-    assert objlang._compile_stmt(loop).__name__ == "do_while"
+    assert objlang._compile_stmt(loop, {"A", "B", "C"}).__name__ == "do_while"
     setup = tuple(Assign(v, Literal(t)) for v, t in (("A", "x'y\\z"), ("B", "b"), ("C", "c")))
     p = Program(setup + (loop, Print(Var("A")), Print(Var("B")), Print(Var("C"))))
     for max_steps in (1, 7, 40, 500):
