@@ -257,3 +257,166 @@ def test_lineage_reproducible_across_invocations(tmp_path):
     assert main(argv + ["-o", str(a)]) == 0
     assert main(argv + ["-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# golden transcript and exact text forms
+# ---------------------------------------------------------------------------
+
+GOLDEN_ORDINALS = ["0", "1", "3", "w", "w+2", "w*2+1", "w^2", "w^w", "w^(w+1)*2+w"]
+SMALL_FUEL = ["--max-steps", "300", "--max-outputs", "2"]
+
+
+def _golden_rows():
+    """(argv, loose) rows; a loose row pins only its exit code and `error: `."""
+    rows = []
+    for i, text in enumerate(GOLDEN_ORDINALS):
+        ion, cert = f"p{i}.ion", f"p{i}.cert"
+        rows += [
+            ["compile", text],
+            ["compile", text, "--json"],
+            ["compile", text, "-o", f"j{i}.ion", "--json"],
+            ["compile", text, "-o", ion],
+            ["run", ion],
+            ["run", ion, "--json"],
+            ["run", ion, *SMALL_FUEL],
+            ["verify", ion],
+            ["verify", ion, "--json"],
+            ["verify", ion, "--expect", cert],
+            ["verify", ion, "--expect", cert, "--json"],
+            ["verify", ion, *SMALL_FUEL, "--depth", "2"],
+            ["verify", ion, *SMALL_FUEL, "--depth", "2", "--json"],
+            ["value", ion],
+            ["value", ion, "--json"],
+            ["value", ion, *SMALL_FUEL, "--depth", "2"],
+        ]
+    rows = [(argv, False) for argv in rows]
+    rows += [(argv, False) for argv in [
+        ["verify", "p1.ion", "--expect", "p0.cert"],            # certificate mismatch
+        ["verify", "p1.ion", "--expect", "nope.cert"],
+        ["run", "refuted.ion"],
+        ["run", "refuted.ion", "--json"],
+        ["verify", "refuted.ion"],
+        ["verify", "refuted.ion", "--json"],
+        ["verify", "refuted.ion", "--expect", "refuted.cert"],
+        ["verify", "refuted.ion", "--expect", "refuted.cert", "--json"],
+        ["value", "refuted.ion"],
+        ["value", "refuted.ion", "--json"],
+        ["run", "open.ion"],
+        ["run", "open.ion", "--json"],
+        ["verify", "open.ion"],
+        ["verify", "open.ion", "--json"],
+        ["value", "open.ion", "--json"],
+        ["run", "nope.ion"],
+        ["verify", "garbage.ion"],
+        ["value", "garbage.ion", "--json"],
+        ["compare", "w*2", "w+5"],
+        ["compare", "1+w", "w"],
+        ["compare", "3", "w"],
+        ["compare", "w", "w^2", "--json"],
+        ["compare", "w^w", "w^(w+1)*2+w", "--json"],
+        ["compare", "w", "w^^2"],
+        ["hydra", "()"],
+        ["hydra", "((()))"],
+        ["hydra", "((()))", "--json"],
+        ["hydra", "(()(()))"],
+        ["hydra", "(()(()))", "--json"],
+        ["hydra", "(((())))", "--max-steps", "3"],
+        ["hydra", "(("],
+        ["hydra", "(()", "--json"],
+        ["lineage", "--founder", "2", "--policy", "asexual", "--seed", "0"],
+        ["lineage", "--founder", "w", "--policy", "mixed:3", "--seed", "42",
+         "--max-events", "20"],
+        ["lineage", "--founder", "w", "--founder", "3", "--policy", "mixed:2",
+         "--seed", "7", "--max-events", "12", "-o", "mixed.jsonl"],
+        ["lineage", "--founder", "w^2", "--policy", "mixed:4", "--seed", "11",
+         "--max-events", "30", "-o", "w2.jsonl", "--json"],
+        ["lineage", "--founder", "2", "-o", "two.jsonl"],
+        ["lineage", "--founder", "2", "-o", "two.jsonl", "--json"],
+        ["lineage", "--config", "cfg.json"],
+        ["lineage", "--config", "cfg.json", "--max-events", "5", "-o", "cfg.jsonl"],
+        ["lineage", "--config", "bad.json"],
+        ["lineage", "--policy", "asexual"],                     # no founders
+        ["lineage", "--config", "empty.json", "--json"],        # no founders
+        ["compile", "w+2", "-o", "noext"],                     # certificate noext.cert
+        ["compile", "2", "-o", "two.v1.ion", "--json"],         # certificate two.v1.cert
+        ["compile", "w*30"],
+        ["compile", "w^^2"],
+        ["compile", "w^^2", "--json"],
+    ]]
+    rows += [(argv, True) for argv in [
+        ["run", "deep.ion"],                                    # RecursionError
+        ["verify", "deep.ion", "--json"],
+        ["value", "deep.ion"],
+        ["compare", "(" * 3000 + "1" + ")" * 3000, "1"],
+        ["compare", "w"],                                       # argparse usage errors
+        ["frobnicate"],
+        ["run", "p0.ion", "--max-steps", "0"],
+        ["lineage", "--founder", "2", "--policy", "mixed:x"],
+    ]]
+    return rows
+
+
+def _golden_inputs(cwd):
+    (cwd / "refuted.ion").write_text("Print('###');End")
+    digest = hashlib.sha256(b"Print('###');End").hexdigest()
+    (cwd / "refuted.cert").write_text(f"ordinal: 1\nsha256: {digest}\n")
+    (cwd / "open.ion").write_text("Print(X);End")
+    (cwd / "garbage.ion").write_text("garbage")
+    (cwd / "deep.ion").write_text("Print(" + "Head(" * 5000 + "'a'" + ")" * 5000 + ");End")
+    (cwd / "cfg.json").write_text(json.dumps({
+        "founders": ["3", "w"], "policy": "mixed:2", "seed": 5, "maxEvents": 12,
+        "multiParentRule": {"bonus": "w^2", "maxDescent": 3},
+    }))
+    (cwd / "bad.json").write_text('{"founders":["w"],"seed":"x"}')
+    (cwd / "empty.json").write_text('{"founders":[]}')
+
+
+def _snapshot(cwd):
+    return {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+
+
+def test_golden_cli_transcript(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _golden_inputs(tmp_path)
+    rows = _golden_rows()
+    assert len(rows) >= 150
+    digest = hashlib.sha256()
+    for argv, loose in rows:
+        before = _snapshot(tmp_path)
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        after = _snapshot(tmp_path)
+        written = [[name, hashlib.sha256(data).hexdigest()]
+                   for name, data in after.items() if before.get(name) != data]
+        if loose:
+            assert rc in (1, 2) and out == "" and "error: " in err, (argv, err)
+            record = [argv, rc, "error: " in err]
+        else:
+            record = [argv, rc, out, err, written]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == "53a520949158ea841d40cfebc59c5aa68870e11e00d39eff1a074c859a8d279b"
+
+
+def test_text_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _golden_inputs(tmp_path)
+    table = [
+        (["compile", "w", "-o", "pw.ion"], "wrote pw.ion (193 bytes) and pw.cert\n"),
+        (["verify", "pw.ion", "--max-outputs", "3", "--depth", "2"],
+         "verdict: Inconclusive\noutputsChecked: 5\ndepthReached: 2\n"),
+        (["compile", "3", "-o", "three.ion"], "wrote three.ion (50 bytes) and three.cert\n"),
+        (["verify", "three.ion"], "verdict: ProvenMember\nexactValue: 3\n"),
+        (["verify", "refuted.ion"],
+         "verdict: Refuted\npath: [0]\nreason: output does not parse:"
+         " offset 0: expected identifier, found '###'\n"),
+        (["value", "pw.ion", "--max-outputs", "5"], "lowerBound: 5\nrefuted: false\n"),
+        (["value", "refuted.ion"], "lowerBound: 0\nrefuted: true\n"),
+        (["hydra", "((()))"], "step 0: w\nstep 1: 1\nstep 2: 0\ndead after 2 cuts\n"),
+        (["lineage", "--founder", "2", "--policy", "asexual", "--seed", "0", "-o", "l.jsonl"],
+         "wrote 4 events to l.jsonl\ntotalAgents: 3\nmultiParentCount: 0\n"
+         "maxAsexualRunLength: 2\nsterile: true\n"),
+    ]
+    for argv, expected in table:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr() == (expected, ""), argv
