@@ -2,19 +2,23 @@
 
 Exit codes: 0 success, 1 domain errors (unparsable input or input nested too
 deep, missing files, a malformed lineage config, a compiled source over
-``MAX_SOURCE_BYTES``, certificate mismatch, refuted verification under
---expect), 2 usage errors.
-Human output goes to stdout in surface syntax / canonical program text;
-``--json`` switches stdout to one machine-readable JSON object (the lineage
-command without ``-o`` emits JSON lines). All error text goes to stderr.
+``MAX_SOURCE_BYTES``, an ``-o`` path that is its own ``.cert`` path,
+certificate mismatch, refuted verification under --expect), 2 usage errors.
+Each subcommand builds its result once as a dict; ``--json`` prints it as one
+JSON object, and text mode prints it as ``key: value`` lines (see
+:func:`_report`) after an optional head line. ``compile``, ``compare``,
+``hydra`` and ``run`` print other text forms: the source, the result, the
+``step i:`` lines, the outputs. ``lineage`` without ``-o`` prints JSON lines.
+All error text goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
+from collections.abc import Sequence
+from dataclasses import asdict
 from pathlib import Path
 
 from .objlang import Fuel, ObjLangError, evaluate, parse, serialize
@@ -27,12 +31,12 @@ from .ordinals import (
     parse_ordinal,
 )
 from .notation import (
-    Inconclusive,
     ProvenMember,
     Refuted,
     certificate_text,
     parse_certificate,
     source_of,
+    source_sha256,
     source_size,
     value_lower_bound,
     verify,
@@ -45,7 +49,7 @@ from .lineage import (
     MixedEveryK,
     MultiParentRule,
     chain_stats,
-    event_to_json,
+    event_log_text,
     run_lineage,
     write_event_log,
 )
@@ -89,8 +93,27 @@ def _policy(text: str):
     raise argparse.ArgumentTypeError(f"unknown policy {text!r}; use asexual or mixed:<k>")
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj))
+def _report(
+    args: argparse.Namespace,
+    fields: dict,
+    head: Sequence[str] = (),
+    json_only: dict | None = None,
+) -> None:
+    """Print one result on stdout.
+
+    With ``--json``: ``json_only`` and then ``fields`` as one JSON object.
+    Otherwise each ``head`` line, then ``fields`` as ``key: value`` lines:
+    strings raw, other values through ``json.dumps``; null values and nested
+    objects (``fuelSpent``) are left out.
+    """
+    if args.json:
+        print(json.dumps({**(json_only or {}), **fields}))
+        return
+    for line in head:
+        print(line)
+    for key, value in fields.items():
+        if value is not None and not isinstance(value, dict):
+            print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}")
 
 
 def _add_fuel_flags(sub: argparse.ArgumentParser, depth: bool = False) -> None:
@@ -106,6 +129,9 @@ def _add_fuel_flags(sub: argparse.ArgumentParser, depth: bool = False) -> None:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     a = parse_ordinal(args.ordinal)
+    out = Path(args.out) if args.out else None
+    if out is not None and out.suffix == ".cert":
+        raise ValueError(f"-o {out} names the certificate file; use a suffix other than .cert")
     size = source_size(a, MAX_SOURCE_BYTES)
     if size > MAX_SOURCE_BYTES:
         raise ValueError(
@@ -113,62 +139,40 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             f" ion compile refuses sources over {MAX_SOURCE_BYTES} bytes"
         )
     src = source_of(a)
-    cert = certificate_text(a, src)
-    if args.out:
-        out = Path(args.out)
-        out.write_text(src, encoding="utf-8")
-        cert_path = out.with_suffix(".cert")
-        cert_path.write_text(cert, encoding="utf-8")
-        if args.json:
-            _emit(
-                {
-                    "ordinal": format_ordinal(a),
-                    "sha256": parse_certificate(cert)[1],
-                    "bytes": len(src),
-                    "path": str(out),
-                    "certificate": str(cert_path),
-                }
-            )
-        else:
-            print(f"wrote {out} ({len(src)} bytes) and {cert_path}")
-    else:
-        if args.json:
-            _emit(
-                {
-                    "ordinal": format_ordinal(a),
-                    "source": src,
-                    "sha256": parse_certificate(cert)[1],
-                }
-            )
-        else:
-            print(src)
+    fields = {"ordinal": format_ordinal(a)}
+    if out is None:
+        fields["source"] = src
+    fields["sha256"] = source_sha256(src)
+    if out is None:
+        _report(args, {}, [src], fields)
+        return 0
+    cert_path = out.with_suffix(".cert")
+    out.write_text(src, encoding="utf-8")
+    cert_path.write_text(certificate_text(a, src), encoding="utf-8")
+    fields |= {"bytes": len(src), "path": str(out), "certificate": str(cert_path)}
+    _report(args, {}, [f"wrote {out} ({len(src)} bytes) and {cert_path}"], fields)
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     program = parse(Path(args.path).read_text(encoding="utf-8"))
     trace = evaluate(program, Fuel(args.max_steps, args.max_outputs))
-    if args.json:
-        _emit(
-            {
-                "outputs": list(trace.outputs),
-                "status": trace.status.value,
-                "stepsUsed": trace.steps_used,
-            }
-        )
-    else:
-        for out in trace.outputs:
-            print(out)
+    fields = {
+        "outputs": list(trace.outputs),
+        "status": trace.status.value,
+        "stepsUsed": trace.steps_used,
+    }
+    _report(args, {}, trace.outputs, fields)
+    if not args.json:
         print(f"status: {trace.status.value} ({trace.steps_used} steps)", file=sys.stderr)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     program = parse(Path(args.path).read_text(encoding="utf-8"))
-    expected_sha = None
     if args.expect:
         _, expected_sha = parse_certificate(Path(args.expect).read_text(encoding="utf-8"))
-        actual_sha = hashlib.sha256(serialize(program).encode("utf-8")).hexdigest()
+        actual_sha = source_sha256(serialize(program))
         if actual_sha != expected_sha:
             print(
                 f"certificate mismatch: program sha256 {actual_sha} != {expected_sha}",
@@ -177,50 +181,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return 1
     result = verify(program, Fuel(args.max_steps, args.max_outputs), args.depth)
     verdict = result.verdict
-    spent = {
-        "steps": result.fuel_spent.steps,
-        "outputs": result.fuel_spent.outputs,
-        "evaluations": result.fuel_spent.evaluations,
-    }
     if isinstance(verdict, ProvenMember):
-        exact = None if verdict.exact_value is None else format_ordinal(verdict.exact_value)
-        if args.json:
-            _emit({"verdict": "ProvenMember", "exactValue": exact, "fuelSpent": spent})
-        else:
-            print("verdict: ProvenMember")
-            if exact is not None:
-                print(f"exactValue: {exact}")
+        exact = verdict.exact_value
+        fields = {"exactValue": None if exact is None else format_ordinal(exact)}
     elif isinstance(verdict, Refuted):
-        if args.json:
-            _emit(
-                {
-                    "verdict": "Refuted",
-                    "path": list(verdict.path),
-                    "reason": verdict.reason,
-                    "fuelSpent": spent,
-                }
-            )
-        else:
-            print("verdict: Refuted")
-            print(f"path: {list(verdict.path)}")
-            print(f"reason: {verdict.reason}")
-        if args.expect:
-            return 1
+        fields = {"path": list(verdict.path), "reason": verdict.reason}
     else:
-        if args.json:
-            _emit(
-                {
-                    "verdict": "Inconclusive",
-                    "outputsChecked": verdict.outputs_checked,
-                    "depthReached": verdict.depth_reached,
-                    "fuelSpent": spent,
-                }
-            )
-        else:
-            print("verdict: Inconclusive")
-            print(f"outputsChecked: {verdict.outputs_checked}")
-            print(f"depthReached: {verdict.depth_reached}")
-    return 0
+        fields = {
+            "outputsChecked": verdict.outputs_checked,
+            "depthReached": verdict.depth_reached,
+        }
+    spent = asdict(result.fuel_spent)
+    _report(args, {"verdict": type(verdict).__name__, **fields, "fuelSpent": spent})
+    return 1 if args.expect and isinstance(verdict, Refuted) else 0
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
@@ -228,33 +201,22 @@ def _cmd_value(args: argparse.Namespace) -> int:
     bound, refuted = value_lower_bound(
         program, Fuel(args.max_steps, args.max_outputs), args.depth
     )
-    if args.json:
-        _emit({"lowerBound": format_ordinal(bound), "refuted": refuted})
-    else:
-        print(f"lowerBound: {format_ordinal(bound)}")
-        print(f"refuted: {'true' if refuted else 'false'}")
+    _report(args, {"lowerBound": format_ordinal(bound), "refuted": refuted})
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    result = compare(parse_ordinal(args.a), parse_ordinal(args.b))
-    if args.json:
-        _emit({"result": result.value})
-    else:
-        print(result.value)
+    result = compare(parse_ordinal(args.a), parse_ordinal(args.b)).value
+    _report(args, {}, [result], {"result": result})
     return 0
 
 
 def _cmd_hydra(args: argparse.Namespace) -> int:
     tree = parse_hydra(args.shape)
-    values = hydra_trajectory(tree, args.max_steps)
-    surfaces = [format_ordinal(v) for v in values]
-    if args.json:
-        _emit({"values": surfaces, "cuts": len(values) - 1})
-    else:
-        for i, s in enumerate(surfaces):
-            print(f"step {i}: {s}")
-        print(f"dead after {len(values) - 1} cuts")
+    surfaces = [format_ordinal(v) for v in hydra_trajectory(tree, args.max_steps)]
+    cuts = len(surfaces) - 1
+    lines = [f"step {i}: {s}" for i, s in enumerate(surfaces)] + [f"dead after {cuts} cuts"]
+    _report(args, {}, lines, {"values": surfaces, "cuts": cuts})
     return 0
 
 
@@ -315,30 +277,22 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
         print("error: no founders given (use --founder or --config)", file=sys.stderr)
         return 2
     log = run_lineage(config)
-    if args.out:
-        write_event_log(log, args.out)
-        stats = chain_stats(log)
-        sterile = any(ev.kind is EventKind.STERILE for ev in log)
-        if args.json:
-            _emit(
-                {
-                    "path": str(args.out),
-                    "events": len(log),
-                    "totalAgents": stats.total_agents,
-                    "multiParentCount": stats.multi_parent_count,
-                    "maxAsexualRunLength": stats.max_asexual_run_length,
-                    "sterile": sterile,
-                }
-            )
-        else:
-            print(f"wrote {len(log)} events to {args.out}")
-            print(f"totalAgents: {stats.total_agents}")
-            print(f"multiParentCount: {stats.multi_parent_count}")
-            print(f"maxAsexualRunLength: {stats.max_asexual_run_length}")
-            print(f"sterile: {'true' if sterile else 'false'}")
-    else:
-        for ev in log:
-            print(json.dumps(event_to_json(ev), separators=(",", ":")))
+    if not args.out:
+        sys.stdout.write(event_log_text(log))
+        return 0
+    write_event_log(log, args.out)
+    stats = chain_stats(log)
+    _report(
+        args,
+        {
+            "totalAgents": stats.total_agents,
+            "multiParentCount": stats.multi_parent_count,
+            "maxAsexualRunLength": stats.max_asexual_run_length,
+            "sterile": any(ev.kind is EventKind.STERILE for ev in log),
+        },
+        [f"wrote {len(log)} events to {args.out}"],
+        {"path": args.out, "events": len(log)},
+    )
     return 0
 
 
@@ -356,38 +310,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compile", help="compile an ordinal expression to a program")
     p.add_argument("ordinal", help="surface syntax, e.g. 'w^(w+1)*3+w*2+5'")
     p.add_argument("-o", "--out", help="write .ion program (plus sibling .cert)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compile)
 
     p = subs.add_parser("run", help="evaluate a .ion program under fuel")
     p.add_argument("path")
     _add_fuel_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_run)
 
     p = subs.add_parser("verify", help="fuel-bounded membership verification")
     p.add_argument("path")
     _add_fuel_flags(p, depth=True)
     p.add_argument("--expect", help="certificate file; mismatch or refutation exits 1")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("value", help="lower-bound the notation value of a program")
     p.add_argument("path")
     _add_fuel_flags(p, depth=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_value)
 
     p = subs.add_parser("compare", help="compare two ordinal expressions")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compare)
 
     p = subs.add_parser("hydra", help="play the hydra game on a paren shape")
     p.add_argument("shape", help="e.g. '((())())' ; outer group is the root")
     p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hydra)
 
     p = subs.add_parser("lineage", help="run a seeded lineage simulation")
@@ -397,9 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-events", type=_positive_int, default=None)
     p.add_argument("-o", "--out", help="write .jsonl event log and print stats")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lineage)
 
+    for p in subs.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -56,6 +56,7 @@ __all__ = [
     "chain_stats",
     "event_to_json",
     "event_from_json",
+    "event_log_text",
     "write_event_log",
     "read_event_log",
 ]
@@ -380,11 +381,13 @@ def event_from_json(data: dict) -> LineageEvent:
     )
 
 
+def event_log_text(log: Sequence[LineageEvent]) -> str:
+    """JSON-lines text of ``log``: one compact JSON object per event."""
+    return "".join(json.dumps(event_to_json(ev), separators=(",", ":")) + "\n" for ev in log)
+
+
 def write_event_log(log: Sequence[LineageEvent], path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(json.dumps(event_to_json(ev), separators=(",", ":")) + "\n" for ev in log),
-        encoding="utf-8",
-    )
+    Path(path).write_text(event_log_text(log), encoding="utf-8")
 
 
 def read_event_log(path: str | Path) -> list[LineageEvent]:

@@ -87,6 +87,7 @@ __all__ = [
     "VerificationResult",
     "verify",
     "value_lower_bound",
+    "source_sha256",
     "certificate_text",
     "parse_certificate",
 ]
@@ -704,10 +705,14 @@ def value_lower_bound(p: Program, fuel: Fuel, max_depth: int) -> tuple[Ordinal, 
 # certificates
 # ---------------------------------------------------------------------------
 
+def source_sha256(source: str) -> str:
+    """Hex sha256 of a program's UTF-8 bytes, as a certificate records it."""
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
 def certificate_text(a: Ordinal, source: str) -> str:
     """Two-line certificate binding an ordinal claim to program bytes."""
-    sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return f"ordinal: {format_ordinal(a)}\nsha256: {sha}\n"
+    return f"ordinal: {format_ordinal(a)}\nsha256: {source_sha256(source)}\n"
 
 
 def parse_certificate(text: str) -> tuple[str, str]:

@@ -843,14 +843,18 @@ def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
                 run.env[_n] = ef(run)
             return do_assign
         case While(cond=c, body=b):
-            cf = _compile_cond(c, reads)
-            _require_assigned(reads, current, "While condition")
-            # The body may never run, so its assignments do not escape. A
-            # fused escape loop is checked by this same walk of its passes.
-            body, _ = _compile_block(b, current)
             names = _match_escape_loop(s)
             if names is not None:
+                # The passes read ``walk`` in the condition and ``dst`` in the
+                # first branch's assignment; ``char`` is assigned before use.
+                walk, _, dst = names
+                _require_assigned({walk}, current, "While condition")
+                _require_assigned({dst}, current, f"assignment to {dst!r}")
                 return _compile_escape_loop(*names)
+            cf = _compile_cond(c, reads)
+            _require_assigned(reads, current, "While condition")
+            # The body may never run, so its assignments do not escape.
+            body, _ = _compile_block(b, current)
             def do_while(run: _Run) -> None:
                 ms = run.max_steps
                 while True:

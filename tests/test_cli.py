@@ -28,6 +28,7 @@ def test_exit_code_table(tmp_path, capsys):
     chain.write_text("Print(" + "+".join(["'a'"] * 3000) + ");End")
     open_ion = tmp_path / "open.ion"
     open_ion.write_text("Print(X);End")
+    own_cert = tmp_path / "x.cert"
     configs = []
     for i, text in enumerate([
         '{"founders":["w"],"maxEvents":"5"}',
@@ -58,6 +59,7 @@ def test_exit_code_table(tmp_path, capsys):
         (["frobnicate"], 2),                            # unknown subcommand
         (["run", str(chain)], 0),                       # 3000-part `+` chain
         (["run", str(open_ion)], 1),                    # reads X before assigning it
+        (["compile", "w", "-o", str(own_cert)], 1),     # program path is its .cert path
     ] + [
         (["lineage", "--config", str(cfg)], 1)          # malformed config field
         for cfg in configs
@@ -66,6 +68,8 @@ def test_exit_code_table(tmp_path, capsys):
     ]
     messages = {
         str(open_ion): "error: variable 'X' may be read before assignment in Print\n",
+        str(own_cert): f"error: -o {own_cert} names the certificate file;"
+                       " use a suffix other than .cert\n",
     }
     for argv, expected in table:
         rc = main(argv)
@@ -75,6 +79,7 @@ def test_exit_code_table(tmp_path, capsys):
             assert err.startswith("error: "), (argv, err)
         if argv[-1] in messages:
             assert err == messages[argv[-1]], (argv, err)
+    assert not own_cert.exists()
 
 
 def test_usage_error_on_bad_flag_value(capsys):
