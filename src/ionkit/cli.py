@@ -148,7 +148,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         return 0
     cert_path = out.with_suffix(".cert")
     out.write_text(src, encoding="utf-8")
-    cert_path.write_text(certificate_text(a, src), encoding="utf-8")
+    try:
+        cert_path.write_text(certificate_text(a, src), encoding="utf-8")
+    except BaseException:
+        out.unlink()  # an exit 1 leaves neither file
+        raise
     fields |= {"bytes": len(src), "path": str(out), "certificate": str(cert_path)}
     _report(args, {}, [f"wrote {out} ({len(src)} bytes) and {cert_path}"], fields)
     return 0
@@ -182,8 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     result = verify(program, Fuel(args.max_steps, args.max_outputs), args.depth)
     verdict = result.verdict
     if isinstance(verdict, ProvenMember):
-        exact = verdict.exact_value
-        fields = {"exactValue": None if exact is None else format_ordinal(exact)}
+        fields = {"exactValue": format_ordinal(verdict.exact_value)}
     elif isinstance(verdict, Refuted):
         fields = {"path": list(verdict.path), "reason": verdict.reason}
     else:

@@ -31,6 +31,7 @@ member, for every n.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -103,6 +104,9 @@ __all__ = [
 # object-language literals.
 # ---------------------------------------------------------------------------
 
+_I_RUN = re.compile(r"\)I+")
+
+
 def _encode(a: Ordinal) -> str:
     parts: list[str] = []
     for exp, coeff in reversed(a.terms):
@@ -112,34 +116,26 @@ def _encode(a: Ordinal) -> str:
 
 def _decode(s: str) -> Ordinal:
     """Inverse of :func:`_encode`; raises ValueError on malformed input."""
-    terms_small_first: list[tuple[Ordinal, int]] = []
-    pos = 0
-    n = len(s)
-    while pos < n:
-        if s[pos] != "(":
-            raise ValueError(f"expected '(' at {pos}")
-        depth = 1
-        j = pos + 1
-        while depth > 0:
-            if j >= n:
-                raise ValueError("unbalanced parentheses")
-            if s[j] == "(":
-                depth += 1
-            elif s[j] == ")":
-                depth -= 1
-            j += 1
-        exp = _decode(s[pos + 1 : j - 1])
-        k = j
-        while k < n and s[k] == "I":
-            k += 1
-        if k == j:
-            raise ValueError(f"missing coefficient at {j}")
-        terms_small_first.append((exp, k - j))
-        pos = k
-    try:
-        return Ordinal(tuple(reversed(terms_small_first)))
-    except ValueError as exc:
-        raise ValueError(f"not a canonical encoding: {exc}") from exc
+
+    def terms(pos: int) -> tuple[Ordinal, int]:
+        # Terms from pos up to an unmatched ")" or the end, and where they stop.
+        small_first: list[tuple[Ordinal, int]] = []
+        while s.startswith("(", pos):
+            exp, pos = terms(pos + 1)
+            run = _I_RUN.match(s, pos)
+            if run is None:
+                raise ValueError(f"expected ')' and a coefficient at {pos}")
+            small_first.append((exp, run.end() - pos - 1))
+            pos = run.end()
+        try:
+            return Ordinal(tuple(reversed(small_first))), pos
+        except ValueError as exc:
+            raise ValueError(f"not a canonical encoding: {exc}") from exc
+
+    a, end = terms(0)
+    if end != len(s):
+        raise ValueError(f"expected '(' at {end}")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +412,14 @@ _DRIVER_STMTS: tuple[Statement, ...] = tuple(
 
 _DRIVER_CODE_TEXT = serialize(Program(_DRIVER_STMTS))
 
+# Everything after the C= assignment. Serialization is concatenative, so the
+# text after the two data assignments is byte-equal to _DRIVER_CODE_TEXT,
+# which is also the value of L: the driver can rebuild its own kind.
+_DRIVER_TAIL = (Assign("L", Literal(_DRIVER_CODE_TEXT)),) + _DRIVER_STMTS
+
 
 def _driver_program(enc: str) -> Program:
-    # Serialization is concatenative, so the program text after the two data
-    # assignments is byte-equal to _DRIVER_CODE_TEXT, which is also the value
-    # of L: the driver can rebuild its own kind.
-    return Program(
-        (Assign("C", Literal(enc)), Assign("L", Literal(_DRIVER_CODE_TEXT)))
-        + _DRIVER_STMTS
-    )
+    return Program((Assign("C", Literal(enc)),) + _DRIVER_TAIL)
 
 
 # ---------------------------------------------------------------------------
@@ -496,52 +491,47 @@ def succ_notation(p: Program) -> Program:
 # decompiler
 # ---------------------------------------------------------------------------
 
-def _candidate(p: Program) -> Ordinal | None:
-    ss = p.statements
-    if not ss:
-        return ZERO
-    if (
-        len(ss) == len(_DRIVER_STMTS) + 2
-        and isinstance(ss[0], Assign)
-        and ss[0].name == "C"
-        and isinstance(ss[0].expr, Literal)
-        and ss[1] == Assign("L", Literal(_DRIVER_CODE_TEXT))
-        and ss[2:] == _DRIVER_STMTS
-    ):
-        try:
-            return _decode(ss[0].expr.text)
-        except ValueError:
-            return None
-    # Print('<source of a>') is a+1, and X='<source of a>' then the A0 loop is a+w.
-    if len(ss) == 1 and isinstance(ss[0], Print) and isinstance(ss[0].expr, Literal):
-        text, step = ss[0].expr.text, ONE
-    elif (
-        len(ss) == 2
-        and isinstance(ss[0], Assign)
-        and ss[0].name == "X"
-        and isinstance(ss[0].expr, Literal)
-        and ss[1] == _A0_WHILE
-    ):
-        text, step = ss[0].expr.text, OMEGA
-    else:
-        return None
-    try:
-        inner = parse(text)
-    except ParseError:
-        return None
-    base = _candidate(inner)
-    return None if base is None else add(base, step)
-
-
 def decompile(p: Program) -> Ordinal | None:
     """Invert the compiler: the ordinal ``a`` with compile_ordinal(a) == p.
+
+    Peels the compiler's two wraps, ``Print('<text>');End`` (a step of 1) and
+    ``X='<text>'`` then the A0 loop (a step of w), parsing each text in turn
+    down to the core: ``End`` (0) or a driver, whose ``C`` is decoded. A
+    driver whose encoding is not a limit with last exponent above 1 gives
+    None without compiling anything, since the compiler builds a driver for
+    no other ordinal. Otherwise the steps are added back, innermost first,
+    and one compile-and-compare checks that ``p`` is canonical.
 
     Returns None when ``p`` is not in the compiler's image (this is a value,
     not an error; most programs are not canonical).
     """
-    a = _candidate(p)
-    if a is None:
-        return None
+    ss, steps = p.statements, []
+    while True:
+        match ss:
+            case (Print(expr=Literal(text=text)),):
+                steps.append(ONE)
+            case (Assign(name="X", expr=Literal(text=text)), loop) if loop == _A0_WHILE:
+                steps.append(OMEGA)
+            case _:
+                break
+        try:
+            ss = parse(text).statements
+        except ParseError:
+            return None
+    match ss:
+        case ():
+            a = ZERO
+        case (Assign(name="C", expr=Literal(text=enc)), *_) if ss[1:] == _DRIVER_TAIL:
+            try:
+                a = _decode(enc)
+            except ValueError:
+                return None
+            if not a.terms or a.terms[-1][0] <= ONE:
+                return None
+        case _:
+            return None
+    for step in reversed(steps):
+        a = add(a, step)
     return a if compile_ordinal(a) == p else None
 
 
@@ -553,7 +543,7 @@ def decompile(p: Program) -> Ordinal | None:
 class ProvenMember:
     """Every reachable output was exhaustively checked and halted in fuel."""
 
-    exact_value: Ordinal | None = None
+    exact_value: Ordinal
 
 
 @dataclass(frozen=True, slots=True)

@@ -468,31 +468,20 @@ def hydra_step(h: HydraTree, stage: int) -> HydraTree:
     if not h.children:
         raise DeadHydraError("bare root has no heads")
 
-    def walk(node: HydraTree, height: int) -> HydraTree:
-        # height >= 1 here; pick the leftmost child of maximal height.
-        idx = 0
-        best = -1
-        for i, c in enumerate(node.children):
-            hc = _height(c)
-            if hc > best:
-                best = hc
-                idx = i
-        target = node.children[idx]
-        if height == 1:
-            # target is the head to cut; node is its parent. The caller
-            # handles duplication, so just drop the head here.
-            return HydraTree(node.children[:idx] + node.children[idx + 1 :])
-        if height == 2:
-            # node is the grandparent: cut inside target, then duplicate it.
-            trimmed = walk(target, 1)
-            return HydraTree(
-                node.children[:idx] + (trimmed,) * stage + node.children[idx + 1 :]
-            )
-        return HydraTree(
-            node.children[:idx] + (walk(target, height - 1),) + node.children[idx + 1 :]
-        )
+    def cut(node: HydraTree) -> HydraTree:
+        # Follow the leftmost child of maximal height.
+        kids = node.children
+        heights = [_height(c) for c in kids]
+        i = heights.index(max(heights))
+        if heights[i] == 0:  # a head on the root vanishes
+            new: tuple[HydraTree, ...] = ()
+        elif heights[i] == 1:  # the child loses its first head, repeated stage times
+            new = (HydraTree(kids[i].children[1:]),) * stage
+        else:
+            new = (cut(kids[i]),)
+        return HydraTree(kids[:i] + new + kids[i + 1 :])
 
-    return walk(h, _height(h))
+    return cut(h)
 
 
 def hydra_trajectory(h: HydraTree, max_steps: int = 10**6) -> list[Ordinal]:

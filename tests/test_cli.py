@@ -115,6 +115,14 @@ def test_compile_writes_program_and_certificate(omega_files):
     assert lines[1] == f"sha256: {hashlib.sha256(src.encode()).hexdigest()}"
 
 
+def test_compile_leaves_no_program_when_certificate_write_fails(tmp_path, capsys):
+    (tmp_path / "x.cert").mkdir()
+    out = tmp_path / "x.ion"
+    assert main(["compile", "w", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run / verify / value / compare / hydra
 # ---------------------------------------------------------------------------

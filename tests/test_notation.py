@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import hypothesis as hyp
 import pytest
@@ -7,7 +8,17 @@ from hypothesis import strategies as st
 
 from conftest import random_ordinal
 from ionkit import notation
-from ionkit.objlang import Fuel, Literal, Print, Program, evaluate, parse, serialize
+from ionkit.objlang import (
+    Assign,
+    Fuel,
+    Literal,
+    ParseError,
+    Print,
+    Program,
+    evaluate,
+    parse,
+    serialize,
+)
 from ionkit.notation import (
     Inconclusive,
     ProvenMember,
@@ -23,8 +34,11 @@ from ionkit.notation import (
     verify,
 )
 from ionkit.ordinals import (
+    OMEGA,
     ONE,
     ZERO,
+    Ordinal,
+    add,
     from_int,
     fundamental_sequence,
     parse_ordinal,
@@ -163,6 +177,162 @@ def test_decompile_rejects_near_misses():
 def test_decompile_compile_roundtrip(seed):
     a = random_ordinal(random.Random(seed), 2)
     assert decompile(compile_ordinal(a)) == a
+
+
+# The earlier recursive decompiler, kept verbatim as the reference.
+def _reference_decode(s):
+    terms_small_first = []
+    pos = 0
+    n = len(s)
+    while pos < n:
+        if s[pos] != "(":
+            raise ValueError(f"expected '(' at {pos}")
+        depth = 1
+        j = pos + 1
+        while depth > 0:
+            if j >= n:
+                raise ValueError("unbalanced parentheses")
+            if s[j] == "(":
+                depth += 1
+            elif s[j] == ")":
+                depth -= 1
+            j += 1
+        exp = _reference_decode(s[pos + 1 : j - 1])
+        k = j
+        while k < n and s[k] == "I":
+            k += 1
+        if k == j:
+            raise ValueError(f"missing coefficient at {j}")
+        terms_small_first.append((exp, k - j))
+        pos = k
+    try:
+        return Ordinal(tuple(reversed(terms_small_first)))
+    except ValueError as exc:
+        raise ValueError(f"not a canonical encoding: {exc}") from exc
+
+
+def _reference_candidate(p):
+    ss = p.statements
+    if not ss:
+        return ZERO
+    if (
+        len(ss) == len(notation._DRIVER_STMTS) + 2
+        and isinstance(ss[0], Assign)
+        and ss[0].name == "C"
+        and isinstance(ss[0].expr, Literal)
+        and ss[1] == Assign("L", Literal(notation._DRIVER_CODE_TEXT))
+        and ss[2:] == notation._DRIVER_STMTS
+    ):
+        try:
+            return _reference_decode(ss[0].expr.text)
+        except ValueError:
+            return None
+    # Print('<source of a>') is a+1, and X='<source of a>' then the A0 loop is a+w.
+    if len(ss) == 1 and isinstance(ss[0], Print) and isinstance(ss[0].expr, Literal):
+        text, step = ss[0].expr.text, ONE
+    elif (
+        len(ss) == 2
+        and isinstance(ss[0], Assign)
+        and ss[0].name == "X"
+        and isinstance(ss[0].expr, Literal)
+        and ss[1] == notation._A0_WHILE
+    ):
+        text, step = ss[0].expr.text, OMEGA
+    else:
+        return None
+    try:
+        inner = parse(text)
+    except ParseError:
+        return None
+    base = _reference_candidate(inner)
+    return None if base is None else add(base, step)
+
+
+def _reference_decompile(p):
+    a = _reference_candidate(p)
+    if a is None:
+        return None
+    return a if compile_ordinal(a) == p else None
+
+
+def _point_mutants(src, rng, count):
+    """Up to ``count`` programs that differ from ``src`` by one inserted,
+    deleted or replaced character; half of the edits fall in the first 80
+    characters, where the wraps and the driver's ``C`` literal start. (``End``
+    has no such mutant.)"""
+    mutants = []
+    for _ in range(200):
+        span = len(src) if len(mutants) % 2 else min(len(src), 80)
+        i, ch = rng.randrange(span), rng.choice("()I'\\;=CXEnd")
+        edits = [src[:i] + ch + src[i:], src[:i] + src[i + 1 :], src[:i] + ch + src[i + 1 :]]
+        text = rng.choice(edits)
+        try:
+            if text != src:
+                mutants.append(parse(text))
+        except ParseError:
+            pass
+        if len(mutants) == count:
+            break
+    return mutants
+
+
+def _truncated(p, rng):
+    """``p`` with the text of its first literal cut short at a random point."""
+    if not p.statements:
+        return p
+    first = p.statements[0]
+    text = first.expr.text[: rng.randrange(len(first.expr.text))]
+    cut = Print(Literal(text)) if isinstance(first, Print) else Assign(first.name, Literal(text))
+    return Program((cut,) + p.statements[1:])
+
+
+def test_decompile_matches_reference(corpus200):
+    rng = random.Random(20260825)
+    src = source_of(o("w^2"))
+    programs = [
+        parse("End"),
+        parse("X='a';Print(X);End"),
+        parse("Print('nonsense');End"),
+        parse(src),
+        parse(src.replace("C='", "C='x", 1)),
+    ]
+    # drivers around small encodings that the compiler never puts in a driver
+    for enc in ["", "()III", "(()I)I", "(()I)II", "()I(()I)I"]:
+        programs += [notation._driver_program(enc), succ_notation(notation._driver_program(enc))]
+    # corpus200 holds no ordinal with both an w-term and a finite term, so
+    # these add sources that nest both wraps
+    mixed = [o(t) for t in ["w+1", "w*3+2", "w^2+w*2+3", "w^w+w+1", "w^(w+1)*2+w*2+2"]]
+    for a in corpus200 + mixed:
+        p = compile_ordinal(a)
+        programs += [p, _truncated(p, rng)] + _point_mutants(source_of(a), rng, 4)
+    assert len(programs) >= 1000, len(programs)
+    found = 0
+    for p in programs:
+        expected = _reference_decompile(p)
+        assert decompile(p) == expected, serialize(p)[:200]
+        found += expected is not None
+    assert found >= len(corpus200)
+
+
+@pytest.mark.parametrize(
+    "enc, printed",
+    [("()" + "I" * 40, False), ("(()I)" + "I" * 40, False), ("", False), ("()" + "I" * 40, True)],
+    ids=["finite", "w_times_40", "zero", "printed_finite"],
+)
+def test_decompile_refuses_non_driver_encodings(enc, printed, monkeypatch):
+    # These encode 40, w*40 and 0, which compile to wraps, not drivers: the
+    # sources of 40 and 41 would be terabytes, so nothing may be compiled.
+    p = notation._driver_program(enc)
+    if printed:
+        p = succ_notation(p)
+
+    def no_compile(a):
+        raise AssertionError(f"compile_ordinal({a}) called")
+
+    monkeypatch.setattr(notation, "compile_ordinal", no_compile)
+    start = time.perf_counter()
+    assert decompile(p) is None
+    assert time.perf_counter() - start < 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -323,3 +323,61 @@ def test_every_small_hydra_dies(shape):
     values = hydra_trajectory(parse_hydra(shape), max_steps=10**5)
     assert values[-1] == ZERO
     assert all(x > y for x, y in zip(values, values[1:]))
+
+
+def _reference_height(h: HydraTree) -> int:
+    return 0 if not h.children else 1 + max(_reference_height(c) for c in h.children)
+
+
+def _reference_hydra_step(h: HydraTree, stage: int) -> HydraTree:
+    """The earlier three-case ``hydra_step``, kept verbatim as the reference."""
+    if stage < 1:
+        raise ValueError("stage must be >= 1")
+    if not h.children:
+        raise DeadHydraError("bare root has no heads")
+
+    def walk(node: HydraTree, height: int) -> HydraTree:
+        # height >= 1 here; pick the leftmost child of maximal height.
+        idx = 0
+        best = -1
+        for i, c in enumerate(node.children):
+            hc = _reference_height(c)
+            if hc > best:
+                best = hc
+                idx = i
+        target = node.children[idx]
+        if height == 1:
+            # target is the head to cut; node is its parent. The caller
+            # handles duplication, so just drop the head here.
+            return HydraTree(node.children[:idx] + node.children[idx + 1 :])
+        if height == 2:
+            # node is the grandparent: cut inside target, then duplicate it.
+            trimmed = walk(target, 1)
+            return HydraTree(
+                node.children[:idx] + (trimmed,) * stage + node.children[idx + 1 :]
+            )
+        return HydraTree(
+            node.children[:idx] + (walk(target, height - 1),) + node.children[idx + 1 :]
+        )
+
+    return walk(h, _reference_height(h))
+
+
+def _ordered_forests(nodes: int) -> list[tuple[HydraTree, ...]]:
+    """Every ordered forest with ``nodes`` nodes in all."""
+    if nodes == 0:
+        return [()]
+    return [
+        (HydraTree(kids),) + rest
+        for first in range(1, nodes + 1)
+        for kids in _ordered_forests(first - 1)
+        for rest in _ordered_forests(nodes - first)
+    ]
+
+
+def test_hydra_step_matches_reference():
+    hydras = [HydraTree(f) for n in range(2, 9) for f in _ordered_forests(n - 1)]
+    assert len(hydras) == 1 + 2 + 5 + 14 + 42 + 132 + 429  # Catalan numbers
+    for h in hydras:
+        for stage in (1, 2, 3):
+            assert hydra_step(h, stage) == _reference_hydra_step(h, stage), (h, stage)
