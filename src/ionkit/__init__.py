@@ -13,6 +13,7 @@ from .objlang import (
     Fuel,
     Head,
     IfElse,
+    LengthLimitError,
     Literal,
     ObjLangError,
     OpenProgramError,
@@ -103,7 +104,7 @@ __all__ = [
     "Literal", "Var", "Concat", "Head", "Tail", "concat",
     "parse", "serialize", "check_closed", "evaluate",
     "Fuel", "Trace", "TraceStatus",
-    "ObjLangError", "ParseError", "OpenProgramError", "EvalError",
+    "ObjLangError", "ParseError", "OpenProgramError", "EvalError", "LengthLimitError",
     # ordinals
     "Ordinal", "ZERO", "ONE", "OMEGA", "from_int",
     "add", "mul", "omega_pow", "natural_sum",

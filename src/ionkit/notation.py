@@ -43,6 +43,7 @@ from .objlang import (
     Fuel,
     Head,
     IfElse,
+    LengthLimitError,
     Literal,
     Not,
     OpenProgramError,
@@ -610,8 +611,9 @@ def _explore(
 
     ``bound`` is the sup of (child bound + 1) over the outputs; it is the
     exact value when ``proven``, that is when every execution in the subtree
-    halted within fuel. An output nested too deep for the interpreter's stack
-    is left unexplored with bound 0, never taken as a counterexample.
+    halted within fuel. An output nested too deep for the interpreter's stack,
+    or a run that builds a string past the evaluator's length limit, is left
+    unexplored with bound 0, never taken as a counterexample.
     """
     acct.evals += 1
     if level > acct.max_level:
@@ -620,7 +622,7 @@ def _explore(
         tr = evaluate(p, fuel)
     except (EvalError, OpenProgramError) as exc:
         return Refuted(path, f"runtime error: {exc}")
-    except RecursionError:
+    except (RecursionError, LengthLimitError):
         return False, ZERO
     acct.steps += tr.steps_used
     children: list[Program | None] = []

@@ -27,9 +27,9 @@ Literal escapes are exactly ``\\'``, ``\\\\``, and ``\\n``.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, NoReturn, Union
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "ParseError",
     "OpenProgramError",
     "EvalError",
+    "LengthLimitError",
     "Literal",
     "Var",
     "Concat",
@@ -96,6 +97,15 @@ class OpenProgramError(ObjLangError):
 
 class EvalError(ObjLangError):
     """Runtime failure inside the object program (Head/Tail of '')."""
+
+
+class LengthLimitError(ObjLangError):
+    """A string value would grow past the evaluator's length limit.
+
+    ``X=X+X`` doubles a value in one step, so fuel bounds neither the time
+    nor the memory a run takes; this limit does. It is not an
+    :class:`EvalError`: the program is not shown faulty, only too big to run.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +353,64 @@ def serialize(p: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
+# skeleton caches
+#
+# Compiled notation programs are a data assignment (C='...' or X='...')
+# followed by a fixed skeleton, and verification parses and runs thousands of
+# them, so the parser keeps the statements parsed from the text after a
+# program's first statement and the compiler keeps the closures of top-level
+# While and If blocks. Each cache holds at most _CACHE_ENTRIES entries
+# standing for at most _CACHE_BYTES characters of source, none above
+# _CACHE_ITEM_BYTES, and drops the least recently used entry first.
+# ---------------------------------------------------------------------------
+
+_CACHE_ENTRIES = 64
+_CACHE_BYTES = 1 << 18
+_CACHE_ITEM_BYTES = 1 << 16
+
+
+class _Cache:
+    """A least-recently-used map bounded by entry count and by bytes of source."""
+
+    __slots__ = ("entries", "nbytes", "max_entries", "max_bytes", "lock")
+
+    def __init__(self, max_entries: int, max_bytes: int):
+        self.entries: dict = {}  # key -> (value, nbytes), oldest use first
+        self.nbytes = 0
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            hit = self.entries.pop(key, None)
+            if hit is None:
+                return None
+            self.entries[key] = hit
+            return hit[0]
+
+    def put(self, key, value, nbytes: int) -> None:
+        if nbytes > _CACHE_ITEM_BYTES:
+            return
+        with self.lock:
+            # another thread may have stored the same key since this one missed
+            old = self.entries.pop(key, None)
+            if old is not None:
+                self.nbytes -= old[1]
+            self.entries[key] = (value, nbytes)
+            self.nbytes += nbytes
+            while len(self.entries) > self.max_entries or self.nbytes > self.max_bytes:
+                self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
+
+
+_PARSED = _Cache(_CACHE_ENTRIES, _CACHE_BYTES)
+_COMPILED = _Cache(_CACHE_ENTRIES, _CACHE_BYTES)
+
+# Text after a first statement shorter than this is cheap to parse afresh.
+_SUFFIX_MIN = 64
+
+
+# ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
@@ -394,19 +462,38 @@ class _Parser:
     # -- grammar productions --
 
     def program(self) -> Program:
+        first = self.top_level(1)
+        if not first:
+            return Program(())
+        # What follows a top-level statement parses the same whatever came
+        # before it, so a hit gives exactly the statements a fresh parse
+        # would. Only text that parsed is stored: every ParseError is fresh.
+        self.skip_ws()
+        rest_len = len(self.src) - self.pos
+        if not _SUFFIX_MIN <= rest_len <= _CACHE_ITEM_BYTES:
+            return Program(first + self.top_level())
+        text = self.src[self.pos :]
+        rest = _PARSED.get(text)
+        if rest is None:
+            rest = self.top_level()
+            _PARSED.put(text, rest, rest_len)
+        return Program(first + rest)
+
+    def top_level(self, count: int = -1) -> tuple[Statement, ...]:
+        """The next ``count`` top-level statements, or all up to 'End' and the end of input."""
         stmts: list[Statement] = []
-        while True:
+        while len(stmts) != count:
             self.skip_ws()
             if self.pos >= len(self.src):
                 self.fail("statement or 'End'")
             if self.at_keyword("End"):
                 self.pos += 3
+                self.skip_ws()
+                if self.pos != len(self.src):
+                    self.fail("end of input after 'End'")
                 break
             stmts.append(self.statement())
-        self.skip_ws()
-        if self.pos != len(self.src):
-            self.fail("end of input after 'End'")
-        return Program(tuple(stmts))
+        return tuple(stmts)
 
     def block(self) -> tuple[Statement, ...]:
         stmts: list[Statement] = []
@@ -557,7 +644,7 @@ def check_closed(p: Program) -> None:
     is per-path: a While body that reads a variable it only assigns later is
     rejected, because the first iteration would read it unassigned.
     """
-    _compile_block(p.statements, set())
+    _compile_program(p.statements)
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +736,22 @@ def _to_str(v) -> str:
     return v.flat
 
 
+# The longest string value a run may build: the size of the largest source
+# the notation compiler writes (64 MiB).
+_MAX_VALUE_LEN = 1 << 26
+
+
 def _concat_val(l, r):
+    """The one place a value grows: ``l`` followed by ``r``, at most _MAX_VALUE_LEN long."""
     ll, rl = _vlen(l), _vlen(r)
     if ll == 0:
         return r
     if rl == 0:
         return l
+    if ll + rl > _MAX_VALUE_LEN:
+        raise LengthLimitError(
+            f"string value of {ll + rl} characters is over the limit of {_MAX_VALUE_LEN}"
+        )
     return _Cat(l, r, ll + rl)
 
 
@@ -669,10 +766,12 @@ class _Run:
         self.max_outputs = fuel.max_outputs
 
 
-# The AST is translated to a tree of closures once per evaluate() call; the
-# compiled notation programs execute hundreds of thousands of statements, and
-# per-step dispatch on AST node types would dominate the runtime. Most of those
+# The AST is translated to a tree of closures before a run; the compiled
+# notation programs execute hundreds of thousands of statements, and per-step
+# dispatch on AST node types would dominate the runtime. Most of those
 # statements are escape-loop passes, so a whole escape loop is one closure.
+# The closures of a program's top-level While and If blocks are cached (see
+# _compile_program), so a skeleton shared by many programs is built once.
 
 def _compile_expr(e: Expr, reads: set[str]) -> Callable[[_Run], object]:
     match e:
@@ -744,9 +843,6 @@ def _compile_cond(c: Cond, reads: set[str]) -> Callable[[_Run], bool]:
             raise TypeError(f"not a Cond: {c!r}")
 
 
-# The matcher builds one loop per While it checks, on every evaluate() call;
-# the cache keeps that build off the per-call cost.
-@lru_cache(maxsize=64)
 def escape_loop(walk: str, char: str, dst: str) -> While:
     """The object-language loop that appends ``walk``'s text to ``dst`` escaped.
 
@@ -812,6 +908,34 @@ def _compile_block(stmts: tuple[Statement, ...], assigned: set[str]) -> tuple[tu
     """The closures of ``stmts`` and the names assigned after them on every path."""
     current = set(assigned)
     return tuple(_compile_stmt(s, current) for s in stmts), current
+
+
+def _compile_program(stmts: tuple[Statement, ...]) -> tuple:
+    """The closures of a program's statements; raises OpenProgramError if it is open.
+
+    A While or If closure depends only on the statement and on the names
+    assigned before it, which also decide its closedness, so it is cached
+    under the statement's identity and those names. Blocks nested inside are
+    reached through their top-level statement and are not cached apart.
+    """
+    current: set[str] = set()
+    fns = []
+    for s in stmts:
+        if not isinstance(s, (While, IfElse)):
+            fns.append(_compile_stmt(s, current))
+            continue
+        key = (id(s), frozenset(current))
+        hit = _COMPILED.get(key)
+        if hit is not None and hit[0] is s:
+            fns.append(hit[1])
+            current |= hit[2]
+            continue
+        fn = _compile_stmt(s, current)
+        fns.append(fn)
+        text: list[str] = []
+        _emit_stmt(s, text)
+        _COMPILED.put(key, (s, fn, current - key[1]), sum(map(len, text)))
+    return tuple(fns)
 
 
 def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
@@ -891,9 +1015,14 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
     steps of its passes, with the same outputs and status. Raises
     :class:`EvalError` for Head/Tail of the empty string, and
     :class:`OpenProgramError` if the program is not closed: closedness is
-    checked while the closures are built, before any step runs.
+    checked while the closures are built, before any step runs. The closures
+    of top-level While and If blocks are kept between calls (a bounded cache
+    keyed on the statement object and the names assigned before it), so a
+    skeleton shared by many programs is built and checked once. Raises
+    :class:`LengthLimitError` when a string value would grow past the
+    length limit.
     """
-    top, _ = _compile_block(p.statements, set())
+    top = _compile_program(p.statements)
     run = _Run(fuel)
     try:
         for g in top:

@@ -6,6 +6,7 @@ import pytest
 from ionkit.cli import main
 from ionkit.notation import source_of
 from ionkit.ordinals import parse_ordinal
+from test_objlang import doubling_program
 
 
 @pytest.fixture
@@ -28,6 +29,8 @@ def test_exit_code_table(tmp_path, capsys):
     chain.write_text("Print(" + "+".join(["'a'"] * 3000) + ");End")
     open_ion = tmp_path / "open.ion"
     open_ion.write_text("Print(X);End")
+    doubling = tmp_path / "doubling.ion"
+    doubling.write_text(doubling_program(40))
     own_cert = tmp_path / "x.cert"
     configs = []
     for i, text in enumerate([
@@ -59,6 +62,8 @@ def test_exit_code_table(tmp_path, capsys):
         (["frobnicate"], 2),                            # unknown subcommand
         (["run", str(chain)], 0),                       # 3000-part `+` chain
         (["run", str(open_ion)], 1),                    # reads X before assigning it
+        (["run", str(doubling)], 1),                    # a string of 2**41 characters
+        (["verify", str(doubling), "--depth", "2"], 0), # Inconclusive, not Refuted
         (["compile", "w", "-o", str(own_cert)], 1),     # program path is its .cert path
     ] + [
         (["lineage", "--config", str(cfg)], 1)          # malformed config field
@@ -68,6 +73,7 @@ def test_exit_code_table(tmp_path, capsys):
     ]
     messages = {
         str(open_ion): "error: variable 'X' may be read before assignment in Print\n",
+        str(doubling): "error: string value of 134217728 characters is over the limit of 67108864\n",
         str(own_cert): f"error: -o {own_cert} names the certificate file;"
                        " use a suffix other than .cert\n",
     }

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from conftest import random_ordinal
+from test_objlang import doubling_program
 from ionkit import notation
 from ionkit.objlang import (
     Assign,
@@ -503,6 +504,18 @@ def test_output_too_deep_for_the_stack_is_inconclusive(text):
     assert isinstance(r.verdict, Inconclusive)
     assert r.fuel_spent.outputs == 1
     assert value_lower_bound(p, AMPLE, 4) == (ONE, False)
+
+
+def test_output_past_the_length_limit_is_inconclusive():
+    # The run stops on the evaluator's length limit: too big, not faulty.
+    top = parse(doubling_program(40))
+    printed = succ_notation(top)
+    start = time.perf_counter()
+    for p, bound in ((top, ZERO), (printed, ONE)):
+        r = verify(p, AMPLE, 4)
+        assert isinstance(r.verdict, Inconclusive), r
+        assert value_lower_bound(p, AMPLE, 4) == (bound, False)
+    assert time.perf_counter() - start < 1
 
 
 def test_output_with_a_long_concat_chain_is_explored():

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import random
+import time
 
 import hypothesis as hyp
 import pytest
@@ -16,6 +17,7 @@ from ionkit.objlang import (
     Fuel,
     Head,
     IfElse,
+    LengthLimitError,
     Literal,
     Not,
     OpenProgramError,
@@ -339,6 +341,34 @@ def test_head_of_empty_is_runtime_error():
         evaluate(parse("Print(Tail(''));End"), Fuel(10, 1))
 
 
+def doubling_program(n: int) -> str:
+    """X=X+X n times in as many passes: 2**(n+1) characters in 3n+4 steps."""
+    return "X='ab';N='" + "I" * n + "';While(Not(Equals(N,''))){X=X+X;N=Tail(N);}Print(Head(X));End"
+
+
+def test_doubling_stops_at_the_length_limit():
+    assert evaluate(parse(doubling_program(3)), Fuel(100, 1)) == Trace(
+        ("a",), TraceStatus.HALTED, 13
+    )
+    start = time.perf_counter()
+    with pytest.raises(LengthLimitError) as exc:
+        evaluate(parse(doubling_program(40)), Fuel(10**6, 16))
+    assert time.perf_counter() - start < 1
+    assert not isinstance(exc.value, EvalError)
+    assert str(exc.value) == "string value of 134217728 characters is over the limit of 67108864"
+
+
+def test_fused_escape_loop_growth_is_limited(monkeypatch):
+    # D would become 123456ab\'c, 11 characters, in one fused pass
+    p = Program((Assign("W", Literal("ab'c")), Assign("D", Literal("123456")),
+                 escape_loop("W", "H", "D"), Print(Var("D"))))
+    monkeypatch.setattr(objlang, "_MAX_VALUE_LEN", 10)
+    with pytest.raises(LengthLimitError):
+        evaluate(p, Fuel(100, 1))
+    monkeypatch.setattr(objlang, "_MAX_VALUE_LEN", 11)
+    assert evaluate(p, Fuel(100, 1)).outputs == ("123456ab\\'c",)
+
+
 def test_equals_and_not():
     p = parse("If(Equals('a','a')){Print('y');}Else{Print('n');}"
               "If(Not(Equals('a','b'))){Print('y2');}Else{Print('n2');}End")
@@ -387,7 +417,7 @@ def test_check_closed_sequential_flow():
 _ESC_WHD = serialize(Program((escape_loop("W", "H", "D"),)))[: -len("End")]
 
 
-@pytest.mark.parametrize(
+OPEN_PROGRAMS = pytest.mark.parametrize(
     "src, where",
     [
         ("Print(X);End", "'X' may be read before assignment in Print"),
@@ -403,6 +433,9 @@ _ESC_WHD = serialize(Program((escape_loop("W", "H", "D"),)))[: -len("End")]
     ids=["print", "assign", "while_cond", "if_cond", "while_body_only", "one_branch_only",
          "escape_dst", "escape_walk", "first_of_sorted"],
 )
+
+
+@OPEN_PROGRAMS
 def test_open_program_messages(src, where):
     p = parse(src)
     message = "variable " + where
@@ -502,6 +535,8 @@ def _fast_and_plain(p: Program, fuel: Fuel):
     fast = outcome()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(objlang, "_match_escape_loop", lambda s: None)
+        # closures cached by an earlier run hold fused loops
+        m.setattr(objlang, "_COMPILED", objlang._Cache(0, 0))
         plain = outcome()
     return fast, plain
 
