@@ -15,10 +15,12 @@ accepted with base ``w``.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NoReturn
+from typing import Callable, Iterable, NoReturn
 
 __all__ = [
     "Ordinal",
@@ -83,40 +85,73 @@ class MaxLenExceededError(OrdinalError):
 DEPTH_LIMIT = 64
 
 
-@dataclass(frozen=True, slots=True)
 class Ordinal:
-    """CNF ordinal: tuple of (exponent, coefficient), exponents strictly decreasing."""
+    """CNF ordinal: tuple of (exponent, coefficient), exponents strictly decreasing.
 
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+    Ordinals are hash-consed: while an ordinal is alive, building an equal one
+    returns the same object, so ``==`` and ``hash`` are the object's own
+    (identity). The intern table holds its ordinals weakly, so it holds only
+    live ones and does not grow with a run. Every construction checks every
+    term (an ``int`` coefficient >= 1, an ``Ordinal`` exponent) and stores it
+    as a tuple; the strict decrease is checked once, when the ordinal is first
+    built. Ordinals are immutable, and pickling or copying one gives back the
+    interned object.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-        prev: Ordinal | None = None
-        for exp, coeff in self.terms:
-            if not isinstance(exp, Ordinal):
+    __slots__ = ("terms", "_depth", "__weakref__")
+
+    terms: tuple[tuple[Ordinal, int], ...]
+
+    def __new__(cls, terms: Iterable[tuple[Ordinal, int]] = ()) -> Ordinal:
+        key = []
+        for exp, coeff in terms:
+            if type(exp) is not Ordinal:
                 raise TypeError("exponent must be an Ordinal")
-            if not isinstance(coeff, int) or coeff < 1:
+            if type(coeff) is not int or coeff < 1:
                 raise ValueError("coefficients must be integers >= 1")
-            if prev is not None and _cmp(prev, exp) <= 0:
-                raise ValueError("exponents must strictly decrease")
-            prev = exp
+            key.append((exp, coeff))
+        key = tuple(key)
+        with _INTERN_LOCK:  # one object per ordinal, also when threads race
+            self = _INTERNED.get(key)
+            if self is None:
+                for (prev, _), (exp, _) in zip(key, key[1:]):
+                    if _cmp(prev, exp) <= 0:
+                        raise ValueError("exponents must strictly decrease")
+                self = object.__new__(cls)
+                object.__setattr__(self, "terms", key)
+                # Depth grows with the order, so the leading exponent is the deepest.
+                object.__setattr__(self, "_depth", 1 + key[0][0]._depth if key else 0)
+                _INTERNED[key] = self
+        return self
 
-    # Total order via compare; equality is structural (dataclass).
-    def __lt__(self, other: "Ordinal") -> bool:
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError("Ordinal is immutable")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError("Ordinal is immutable")
+
+    def __reduce__(self) -> tuple:
+        return Ordinal, (self.terms,)
+
+    # Total order via compare; equality is identity (object's).
+    def __lt__(self, other: Ordinal) -> bool:
         return _cmp(self, other) < 0
 
-    def __le__(self, other: "Ordinal") -> bool:
+    def __le__(self, other: Ordinal) -> bool:
         return _cmp(self, other) <= 0
 
-    def __gt__(self, other: "Ordinal") -> bool:
+    def __gt__(self, other: Ordinal) -> bool:
         return _cmp(self, other) > 0
 
-    def __ge__(self, other: "Ordinal") -> bool:
+    def __ge__(self, other: Ordinal) -> bool:
         return _cmp(self, other) >= 0
 
     def __repr__(self) -> str:
         return f"Ordinal<{format_ordinal(self)}>"
 
+
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # terms -> Ordinal
+_INTERN_LOCK = threading.Lock()
 
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
@@ -130,17 +165,17 @@ def from_int(n: int) -> Ordinal:
 
 
 def _cmp(a: Ordinal, b: Ordinal) -> int:
+    # Interned: distinct objects are distinct ordinals, so the first pair of
+    # exponents that are not the same object decides, and if every shared term
+    # is equal the shorter term list is the smaller ordinal.
     if a is b:
         return 0
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = _cmp(ea, eb)
-        if c != 0:
-            return c
+        if ea is not eb:
+            return _cmp(ea, eb)
         if ca != cb:
             return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    return -1 if len(a.terms) < len(b.terms) else 1
 
 
 class Comparison(Enum):
@@ -165,7 +200,7 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     keep = len(a.terms)
     while keep > 0 and _cmp(a.terms[keep - 1][0], eb) < 0:
         keep -= 1
-    if keep > 0 and _cmp(a.terms[keep - 1][0], eb) == 0:
+    if keep > 0 and a.terms[keep - 1][0] is eb:
         merged = (eb, a.terms[keep - 1][1] + b.terms[0][1])
         return Ordinal(a.terms[: keep - 1] + (merged,) + b.terms[1:])
     return Ordinal(a.terms[:keep] + b.terms)
@@ -190,15 +225,13 @@ def mul(a: Ordinal, b: Ordinal) -> Ordinal:
 @lru_cache(maxsize=None)
 def depth(a: Ordinal) -> int:
     """Exponent nesting depth: 0 for 0, else 1 + max depth of exponents."""
-    if not a.terms:
-        return 0
-    return 1 + max(depth(e) for e, _ in a.terms)
+    return a._depth
 
 
 def omega_pow(a: Ordinal) -> Ordinal:
     """w raised to ``a``; the only constructor that can deepen nesting."""
     out = Ordinal(((a, 1),))
-    if depth(out) > DEPTH_LIMIT:
+    if out._depth > DEPTH_LIMIT:
         raise OrdinalOverflowError(f"nesting depth exceeds {DEPTH_LIMIT}")
     return out
 
@@ -247,17 +280,15 @@ def predecessor(a: Ordinal) -> Ordinal:
     """Predecessor of a successor ordinal."""
     if classify(a) is not Kind.SUCCESSOR:
         raise ValueError(f"{a!r} is not a successor")
-    return _minus_last_power(a)[0]
+    return Ordinal(_minus_last_power(a)[0])
 
 
-def _minus_last_power(a: Ordinal) -> tuple[Ordinal, Ordinal]:
-    """Split nonzero a as (rest, beta) with a = rest + w^beta, beta the last exponent."""
+def _minus_last_power(a: Ordinal) -> tuple[tuple[tuple[Ordinal, int], ...], Ordinal]:
+    """Split nonzero a as (terms of rest, beta) with a = rest + w^beta, beta the last exponent."""
     exp, coeff = a.terms[-1]
     if coeff > 1:
-        rest = Ordinal(a.terms[:-1] + ((exp, coeff - 1),))
-    else:
-        rest = Ordinal(a.terms[:-1])
-    return rest, exp
+        return a.terms[:-1] + ((exp, coeff - 1),), exp
+    return a.terms[:-1], exp
 
 
 def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
@@ -273,11 +304,13 @@ def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
     if classify(lam) is not Kind.LIMIT:
         raise NotALimitError(f"{lam!r} is not a limit ordinal")
     rest, beta = _minus_last_power(lam)
+    # Every exponent of rest is >= beta and the step's is below beta, so
+    # rest + step is the concatenation of their terms, and no deeper than lam.
     if classify(beta) is Kind.SUCCESSOR:
-        step = mul(omega_pow(predecessor(beta)), from_int(n))
+        step = ((predecessor(beta), n),) if n else ()  # w^(beta-1) * n
     else:
-        step = omega_pow(fundamental_sequence(beta, n))
-    return add(rest, step)
+        step = ((fundamental_sequence(beta, n), 1),)  # w^(beta[n])
+    return Ordinal(rest + step)
 
 
 def descend(a: Ordinal, picker: Callable[[Ordinal], int]) -> tuple[Ordinal, int]:

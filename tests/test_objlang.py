@@ -266,32 +266,44 @@ def _close(p: Program) -> Program:
 closed_programs = programs.map(_close)
 
 
+# A run ends in a trace or, with no trace, in an EvalError (Head/Tail of an
+# empty string) or a LengthLimitError (a value doubled past the length limit,
+# as in DOUBLING, which hypothesis found within these fuels).
+_NO_TRACE = (EvalError, LengthLimitError)
+DOUBLING = _close(Program((While(TrueCond(), (Assign("A", Concat((Var("A"), Var("A")))),)),)))
+
+
+def _outcome(p: Program, fuel: Fuel):
+    try:
+        return evaluate(p, fuel)
+    except _NO_TRACE as exc:
+        return type(exc), str(exc)
+
+
 @hyp.given(closed_programs)
+@hyp.example(DOUBLING)
 def test_evaluate_deterministic(p):
     fuel = Fuel(300, 8)
-    try:
-        first = evaluate(p, fuel)
-        second = evaluate(p, fuel)
-    except EvalError:
-        return  # Head/Tail of empty string; determinism of errors checked below
-    assert first == second
+    assert _outcome(p, fuel) == _outcome(p, fuel)
 
 
 @hyp.given(closed_programs)
+@hyp.example(DOUBLING)
 def test_fuel_monotonic_prefix(p):
     try:
         small = evaluate(p, Fuel(150, 4))
         large = evaluate(p, Fuel(600, 9))
-    except EvalError:
+    except _NO_TRACE:
         return
     assert large.outputs[: len(small.outputs)] == small.outputs
 
 
 @hyp.given(closed_programs)
+@hyp.example(DOUBLING)
 def test_halted_is_stable(p):
     try:
         t = evaluate(p, Fuel(400, 8))
-    except EvalError:
+    except _NO_TRACE:
         return
     if t.status is TraceStatus.HALTED:
         assert evaluate(p, Fuel(4000, 80)) == t

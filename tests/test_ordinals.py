@@ -49,10 +49,23 @@ def o(text: str) -> Ordinal:
 # ---------------------------------------------------------------------------
 
 def test_cnf_invariants_enforced():
-    with pytest.raises(ValueError):
-        Ordinal(((ZERO, 0),))  # coefficient must be >= 1
-    with pytest.raises(ValueError):
-        Ordinal(((ZERO, 1), (ONE, 1)))  # exponents must strictly decrease
+    for terms, error in [
+        (((ZERO, 0),), ValueError),  # coefficient must be >= 1
+        (((ZERO, True),), ValueError),  # a bool is not a coefficient
+        (((ZERO, 1.0),), ValueError),  # nor a float equal to one, which hashes like ONE's key
+        (((ONE, 2.5),), ValueError),
+        (((0, 1),), TypeError),  # exponent must be an Ordinal
+        (((ZERO, 1), (ONE, 1)), ValueError),  # exponents must strictly decrease
+        (((ONE, 1), (ONE, 1)), ValueError),
+    ]:
+        with pytest.raises(error):
+            Ordinal(terms)
+
+
+def test_terms_are_stored_as_tuples():
+    listed = Ordinal([[ONE, 1]])
+    assert listed is OMEGA
+    assert type(listed.terms[0]) is tuple
 
 
 def test_compare_goldens():
@@ -173,6 +186,31 @@ def test_fundamental_sequence_rejects_non_limits():
         fundamental_sequence(ZERO, 1)
     with pytest.raises(NotALimitError):
         fundamental_sequence(o("w+1"), 1)
+
+
+def _reference_fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
+    """The earlier ``fundamental_sequence``, built by ordinal arithmetic, kept as the reference."""
+    exp, coeff = lam.terms[-1]
+    rest = Ordinal(lam.terms[:-1] + (((exp, coeff - 1),) if coeff > 1 else ()))
+    if classify(exp) is Kind.SUCCESSOR:
+        step = mul(omega_pow(predecessor(exp)), from_int(n))
+    else:
+        step = omega_pow(_reference_fundamental_sequence(exp, n))
+    return add(rest, step)
+
+
+@hyp.given(ordinal_exprs, st.integers(0, 30))
+def test_fs_matches_reference(a, n):
+    hyp.assume(classify(a) is Kind.LIMIT)
+    assert fundamental_sequence(a, n) == _reference_fundamental_sequence(a, n)
+
+
+def test_fs_matches_reference_on_corpus(corpus200):
+    limits = [a for a in corpus200 if classify(a) is Kind.LIMIT]
+    assert len(limits) > 100
+    for a in limits:
+        for n in range(6):
+            assert fundamental_sequence(a, n) == _reference_fundamental_sequence(a, n), (a, n)
 
 
 @hyp.given(ordinal_exprs, st.integers(0, 30))
