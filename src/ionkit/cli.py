@@ -15,6 +15,7 @@ All error text goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -303,7 +304,9 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it found it.
     parser = argparse.ArgumentParser(
         prog="ion",
         description="Compile ordinals to notation programs; run, verify, and simulate.",

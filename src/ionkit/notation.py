@@ -56,7 +56,11 @@ from .objlang import (
     TrueCond,
     Var,
     While,
+    _comma_scan,
+    _paren_scan,
+    _unary_scan,
     concat,
+    escape_literal,
     escape_loop,
     evaluate,
     parse,
@@ -192,55 +196,10 @@ def _first_split_stmts(src: str) -> tuple[Statement, ...]:
         Assign("B", Literal("")),
         Assign("P", Literal("I")),
         Assign("W", Tail(Var(src))),
-        While(
-            Not(Equals(Var("P"), Literal(""))),
-            (
-                Assign("M", Head(Var("W"))),
-                Assign("W", Tail(Var("W"))),
-                IfElse(
-                    Equals(Var("M"), Literal("(")),
-                    (
-                        Assign("P", concat(Var("P"), Literal("I"))),
-                        Assign("B", concat(Var("B"), Var("M"))),
-                    ),
-                    (
-                        IfElse(
-                            Equals(Var("M"), Literal(")")),
-                            (
-                                Assign("P", Tail(Var("P"))),
-                                IfElse(
-                                    Equals(Var("P"), Literal("")),
-                                    (),
-                                    (Assign("B", concat(Var("B"), Var("M"))),),
-                                ),
-                            ),
-                            (Assign("B", concat(Var("B"), Var("M"))),),
-                        ),
-                    ),
-                ),
-            ),
-        ),
+        _paren_scan("P", "W", "M", "B"),
         Assign("K", Literal("")),
         Assign("Q", Literal("x")),
-        While(
-            Not(Equals(Var("Q"), Literal(""))),
-            (
-                IfElse(
-                    Equals(Var("W"), Literal("")),
-                    (Assign("Q", Literal("")),),
-                    (
-                        IfElse(
-                            Equals(Head(Var("W")), Literal("I")),
-                            (
-                                Assign("K", concat(Var("K"), Literal("I"))),
-                                Assign("W", Tail(Var("W"))),
-                            ),
-                            (Assign("Q", Literal("")),),
-                        ),
-                    ),
-                ),
-            ),
-        ),
+        _unary_scan("Q", "W", "K"),
     )
 
 
@@ -310,13 +269,7 @@ _FS_STMTS: tuple[Statement, ...] = (
         Not(Equals(Var("S"), Literal(""))),
         (
             Assign("G", Literal("")),
-            While(
-                Not(Equals(Head(Var("S")), Literal(","))),
-                (
-                    Assign("G", concat(Var("G"), Head(Var("S")))),
-                    Assign("S", Tail(Var("S"))),
-                ),
-            ),
+            _comma_scan("S", "G"),
             Assign("S", Tail(Var("S"))),
             Assign("D", concat(Literal("("), Var("D"), Literal(")I"), Var("G"))),
         ),
@@ -419,6 +372,9 @@ _DRIVER_CODE_TEXT = serialize(Program(_DRIVER_STMTS))
 _DRIVER_TAIL = (Assign("L", Literal(_DRIVER_CODE_TEXT)),) + _DRIVER_STMTS
 
 
+_DRIVER_TAIL_TEXT = serialize(Program(_DRIVER_TAIL))
+
+
 def _driver_program(enc: str) -> Program:
     return Program((Assign("C", Literal(enc)),) + _DRIVER_TAIL)
 
@@ -447,8 +403,19 @@ def compile_ordinal(a: Ordinal) -> Program:
 
 @lru_cache(maxsize=None)
 def source_of(a: Ordinal) -> str:
-    """serialize(compile_ordinal(a)), memoized."""
-    return serialize(compile_ordinal(a))
+    """``serialize(compile_ordinal(a))``, memoized.
+
+    The text is put together from the skeletons' text, serialized once, and
+    the source of the ordinal below, so no program is built or serialized.
+    """
+    kind = classify(a)
+    if kind is Kind.ZERO:
+        return "End"
+    if kind is Kind.SUCCESSOR:
+        return f"Print('{escape_literal(source_of(predecessor(a)))}');End"
+    if a.terms[-1][0] == ONE:
+        return f"X='{escape_literal(source_of(fundamental_sequence(a, 0)))}';{_A0_REST}"
+    return f"C='{_encode(a)}';{_DRIVER_TAIL_TEXT}"
 
 
 # A source is End or a driver, wrapped first in the A0 skeleton once per

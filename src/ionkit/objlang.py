@@ -653,16 +653,20 @@ def check_closed(p: Program) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Fuel:
-    """Execution budget: statement steps and output slots, both positive."""
+    """Execution budget: statement steps and output slots, both positive ints.
+
+    A ``bool``, ``float`` or ``str`` budget is refused, so a run's step count
+    is always an exact count of the steps it took.
+    """
 
     max_steps: int
     max_outputs: int
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.max_outputs < 1:
-            raise ValueError("max_outputs must be >= 1")
+        for name in ("max_steps", "max_outputs"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int >= 1")
 
 
 class TraceStatus(Enum):
@@ -769,7 +773,10 @@ class _Run:
 # The AST is translated to a tree of closures before a run; the compiled
 # notation programs execute hundreds of thousands of statements, and per-step
 # dispatch on AST node types would dominate the runtime. Most of those
-# statements are escape-loop passes, so a whole escape loop is one closure.
+# statements are passes of four loops: the escape loop and the notation
+# driver's paren, unary and comma scans. Each of them is one closure that
+# does its work with str operations and is charged the exact step cost of
+# its passes (see _match_fused_loop).
 # The closures of a program's top-level While and If blocks are cached (see
 # _compile_program), so a skeleton shared by many programs is built once.
 
@@ -872,36 +879,219 @@ def escape_loop(walk: str, char: str, dst: str) -> While:
     )
 
 
-def _match_escape_loop(s: While) -> tuple[str, str, str] | None:
-    """(walk, char, dst) when ``s`` is ``escape_loop`` of three distinct names."""
+def _paren_scan(depth: str, walk: str, char: str, acc: str) -> While:
+    """The loop that moves ``walk``'s text up to a closing paren into ``acc``.
+
+    ``depth`` counts open parens in unary: ``(`` lengthens it, ``)`` drops a
+    character, and the loop stops when it is empty, with ``char`` holding
+    that last ``)`` and ``acc`` every character before it. The notation
+    driver splits the leading term of an encoding with it.
+    """
+    add_char = Assign(acc, concat(Var(acc), Var(char)))
+    return While(
+        Not(Equals(Var(depth), Literal(""))),
+        (
+            Assign(char, Head(Var(walk))),
+            Assign(walk, Tail(Var(walk))),
+            IfElse(
+                Equals(Var(char), Literal("(")),
+                (Assign(depth, concat(Var(depth), Literal("I"))), add_char),
+                (
+                    IfElse(
+                        Equals(Var(char), Literal(")")),
+                        (
+                            Assign(depth, Tail(Var(depth))),
+                            IfElse(Equals(Var(depth), Literal("")), (), (add_char,)),
+                        ),
+                        (add_char,),
+                    ),
+                ),
+            ),
+        ),
+    )
+
+
+def _unary_scan(flag: str, walk: str, acc: str) -> While:
+    """The loop that moves ``walk``'s leading ``I`` characters to ``acc``; it empties ``flag``."""
+    return While(
+        Not(Equals(Var(flag), Literal(""))),
+        (
+            IfElse(
+                Equals(Var(walk), Literal("")),
+                (Assign(flag, Literal("")),),
+                (
+                    IfElse(
+                        Equals(Head(Var(walk)), Literal("I")),
+                        (
+                            Assign(acc, concat(Var(acc), Literal("I"))),
+                            Assign(walk, Tail(Var(walk))),
+                        ),
+                        (Assign(flag, Literal("")),),
+                    ),
+                ),
+            ),
+        ),
+    )
+
+
+def _comma_scan(stack: str, acc: str) -> While:
+    """The loop that moves ``stack``'s text before its first comma to ``acc``."""
+    return While(
+        Not(Equals(Head(Var(stack)), Literal(","))),
+        (Assign(acc, concat(Var(acc), Head(Var(stack)))), Assign(stack, Tail(Var(stack)))),
+    )
+
+
+def _match_fused_loop(s: While) -> tuple[Callable, tuple[str, ...]] | None:
+    """(fuse, names) when ``s`` is a loop built above from distinct names.
+
+    ``fuse(plain, *names)`` gives the closure that runs the loop as one
+    block, where ``plain`` runs it pass by pass.
+    """
     match s:
         case While(
             Not(Equals(Var(walk), Literal(""))),
             (Assign(char, _), _, IfElse(_, (Assign(dst, _),), _)),
-        ) if len({walk, char, dst}) == 3 and s == escape_loop(walk, char, dst):
-            return walk, char, dst
+        ):
+            build, fuse, names = escape_loop, _fuse_escape_loop, (walk, char, dst)
+        case While(
+            Not(Equals(Var(depth), Literal(""))),
+            (Assign(char, Head(Var(walk))), _, IfElse(_, (_, Assign(acc, _)), _)),
+        ):
+            build, fuse, names = _paren_scan, _fuse_paren_scan, (depth, walk, char, acc)
+        case While(
+            Not(Equals(Var(flag), Literal(""))),
+            (IfElse(Equals(Var(walk), _), _, (IfElse(_, (Assign(acc, _), _), _),)),),
+        ):
+            build, fuse, names = _unary_scan, _fuse_unary_scan, (flag, walk, acc)
+        case While(Not(Equals(Head(Var(stack)), _)), (Assign(acc, _), _)):
+            build, fuse, names = _comma_scan, _fuse_comma_scan, (stack, acc)
+        case _:
+            return None
+    if len(set(names)) == len(names) and s == build(*names):
+        return fuse, names
     return None
 
 
-def _compile_escape_loop(walk: str, char: str, dst: str) -> Callable[[_Run], None]:
-    # The loop prints nothing and a run that stops on fuel is observed only
-    # through its outputs and step count, so when the passes do not all fit,
-    # stopping with every step spent is exactly what the passes would do.
+# A fused loop prints nothing, and a run that stops on fuel is observed only
+# through its outputs and step count, so when the passes do not all fit,
+# stopping with every step spent is exactly what the passes would do. A
+# state in which the passes would fail (Head of an empty string, a value
+# past the length limit) is rare, so a fused loop hands it to the passes
+# unchanged, which fail at the step they would.
+
+def _charge(run: _Run, cost: int) -> None:
+    if run.steps + cost > run.max_steps:
+        run.steps = run.max_steps
+        raise _FuelStop
+    run.steps += cost
+
+
+def _text_at(v) -> tuple[str, int]:
+    """A str and an offset into it where the text of value ``v`` starts."""
+    if type(v) is _View:
+        return v.base, v.start
+    return _to_str(v), 0
+
+
+def _fuse_escape_loop(
+    plain: Callable[[_Run], None], walk: str, char: str, dst: str
+) -> Callable[[_Run], None]:
     def do_escape(run: _Run) -> None:
         env = run.env
         s = _to_str(env[walk])
+        escaped = s.replace("\\", "\\\\").replace("'", "\\'")
+        if _vlen(env[dst]) + len(escaped) > _MAX_VALUE_LEN:
+            return plain(run)
         # 1 for the final check; per character 6, or 5 for a quote, which
         # takes the first branch and skips the inner If.
-        cost = 1 + 6 * len(s) - s.count("'")
-        if run.steps + cost > run.max_steps:
-            run.steps = run.max_steps
-            raise _FuelStop
-        run.steps += cost
+        _charge(run, 1 + 6 * len(s) - s.count("'"))
         if s:
             env[walk] = ""
             env[char] = s[-1]
-            env[dst] = _concat_val(env[dst], s.replace("\\", "\\\\").replace("'", "\\'"))
+            env[dst] = _concat_val(env[dst], escaped)
     return do_escape
+
+
+def _fuse_paren_scan(
+    plain: Callable[[_Run], None], depth: str, walk: str, char: str, acc: str
+) -> Callable[[_Run], None]:
+    def do_paren_scan(run: _Run) -> None:
+        env = run.env
+        d = _vlen(env[depth])
+        if not d:
+            return _charge(run, 1)
+        text, start = _text_at(env[walk])
+        closes = 0
+        for end in range(start + 1, len(text) + 1):
+            ch = text[end - 1]
+            if ch == "(":
+                d += 1
+            elif ch == ")":
+                closes += 1
+                d -= 1
+                if not d:
+                    break
+        else:
+            return plain(run)  # the walk runs out first
+        k = end - start
+        # The depth peaks below k: each "(" it gains needs a ")" among them.
+        if _vlen(env[acc]) + k > _MAX_VALUE_LEN:
+            return plain(run)
+        # Per character 6 steps: the check, the char and walk assignments,
+        # the If, and two more (the depth and the append for "(", the inner
+        # If and the append otherwise). A ")" adds the depth's Tail and the
+        # If on it, and the last one skips its append; with the final check
+        # that is 6k + 2 per ")".
+        _charge(run, 6 * k + 2 * closes)
+        env[depth] = ""
+        env[char] = ")"
+        env[walk] = _View(text, end)
+        env[acc] = _concat_val(env[acc], text[start : end - 1])
+    return do_paren_scan
+
+
+_LEADING_I = re.compile("I*")
+
+
+def _fuse_unary_scan(
+    plain: Callable[[_Run], None], flag: str, walk: str, acc: str
+) -> Callable[[_Run], None]:
+    def do_unary_scan(run: _Run) -> None:
+        env = run.env
+        if not _vlen(env[flag]):
+            return _charge(run, 1)
+        text, start = _text_at(env[walk])
+        end = _LEADING_I.match(text, start).end()
+        m = end - start
+        if _vlen(env[acc]) + m > _MAX_VALUE_LEN:
+            return plain(run)
+        # per I 5 (check, two Ifs, two assignments); then the check, the Ifs
+        # that empty the flag (one if the walk is empty, else two), its
+        # assignment and the final check
+        _charge(run, 5 * m + (4 if end == len(text) else 5))
+        env[flag] = ""
+        if m:
+            env[acc] = _concat_val(env[acc], text[start:end])
+            env[walk] = _View(text, end)
+    return do_unary_scan
+
+
+def _fuse_comma_scan(
+    plain: Callable[[_Run], None], stack: str, acc: str
+) -> Callable[[_Run], None]:
+    def do_comma_scan(run: _Run) -> None:
+        env = run.env
+        text, start = _text_at(env[stack])
+        end = text.find(",", start)
+        if end < 0 or _vlen(env[acc]) + end - start > _MAX_VALUE_LEN:
+            return plain(run)  # no comma: Head of the empty string after the last pass
+        # per character 3 (check and two assignments), 1 for the final check
+        _charge(run, 3 * (end - start) + 1)
+        if end > start:
+            env[acc] = _concat_val(env[acc], text[start:end])
+            env[stack] = _View(text, end)
+    return do_comma_scan
 
 
 def _compile_block(stmts: tuple[Statement, ...], assigned: set[str]) -> tuple[tuple, set[str]]:
@@ -967,14 +1157,6 @@ def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
                 run.env[_n] = ef(run)
             return do_assign
         case While(cond=c, body=b):
-            names = _match_escape_loop(s)
-            if names is not None:
-                # The passes read ``walk`` in the condition and ``dst`` in the
-                # first branch's assignment; ``char`` is assigned before use.
-                walk, _, dst = names
-                _require_assigned({walk}, current, "While condition")
-                _require_assigned({dst}, current, f"assignment to {dst!r}")
-                return _compile_escape_loop(*names)
             cf = _compile_cond(c, reads)
             _require_assigned(reads, current, "While condition")
             # The body may never run, so its assignments do not escape.
@@ -989,7 +1171,8 @@ def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
                         return
                     for g in body:
                         g(run)
-            return do_while
+            fused = _match_fused_loop(s)
+            return do_while if fused is None else fused[0](do_while, *fused[1])
         case IfElse(cond=c, then_body=t, else_body=e):
             cf = _compile_cond(c, reads)
             _require_assigned(reads, current, "If condition")
@@ -1011,8 +1194,11 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
     """Run ``p`` under ``fuel``; deterministic, total, and reproducible.
 
     Each statement execution costs one step (every While condition check
-    included). An :func:`escape_loop` runs as one block, charged exactly the
-    steps of its passes, with the same outputs and status. Raises
+    included). Four loops run as one block each, charged exactly the steps
+    their passes would cost, with the same outputs, status and errors: an
+    :func:`escape_loop`, and the notation driver's paren scan, unary scan
+    and comma scan (``_paren_scan``, ``_unary_scan``, ``_comma_scan``), each
+    under any distinct variable names. Raises
     :class:`EvalError` for Head/Tail of the empty string, and
     :class:`OpenProgramError` if the program is not closed: closedness is
     checked while the closures are built, before any step runs. The closures

@@ -95,6 +95,23 @@ def test_usage_error_on_bad_flag_value(capsys):
     capsys.readouterr()
 
 
+def test_consecutive_calls_leave_no_state_behind(capsys):
+    # the parser is built once per process and shared by every call
+    founders = ["lineage", "--founder", "2", "--founder", "1", "--policy", "asexual", "--seed", "0"]
+    assert main(founders) == 0
+    first = capsys.readouterr().out
+    assert [json.loads(line)["kind"] for line in first.splitlines()].count("founder") == 2
+    assert main(founders) == 0  # --founder appends to a fresh list
+    assert capsys.readouterr().out == first
+    assert main(["compare", "w", "2", "--json"]) == 0
+    assert capsys.readouterr().out == '{"result": "Greater"}\n'
+    assert main(["compare", "w", "2"]) == 0  # --json is off again
+    assert capsys.readouterr().out == "Greater\n"
+    assert main(["compare", "w"]) == 2
+    assert main(["compare", "2", "w"]) == 0
+    assert capsys.readouterr().out == "Less\n"
+
+
 # ---------------------------------------------------------------------------
 # compile
 # ---------------------------------------------------------------------------

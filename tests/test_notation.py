@@ -38,8 +38,10 @@ from ionkit.ordinals import (
     OMEGA,
     ONE,
     ZERO,
+    Kind,
     Ordinal,
     add,
+    classify,
     from_int,
     fundamental_sequence,
     parse_ordinal,
@@ -127,6 +129,14 @@ def test_golden_skeleton_sources():
 @pytest.mark.parametrize("expr", sorted(GOLDEN_SOURCES))
 def test_golden_compiled_sources(expr):
     assert _sha(source_of(o(expr))) == GOLDEN_SOURCES[expr]
+
+
+def test_source_of_is_the_serialized_program(corpus200):
+    # source_of puts the text together without building the program
+    members = [fundamental_sequence(a, n) for a in corpus200 if classify(a) is Kind.LIMIT
+               for n in range(3)]
+    for a in corpus200 + members:
+        assert source_of(a) == serialize(compile_ordinal(a)), a
 
 
 # ---------------------------------------------------------------------------

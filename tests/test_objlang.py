@@ -30,6 +30,9 @@ from ionkit.objlang import (
     TrueCond,
     Var,
     While,
+    _comma_scan,
+    _paren_scan,
+    _unary_scan,
     check_closed,
     concat,
     escape_literal,
@@ -225,12 +228,26 @@ conds = st.recursive(
 )
 # escape loops under three distinct names: src, then walk, char and dst
 esc_names = st.permutations(["A", "B", "C", "X2"])
+# values the driver's scan loops see, unbalanced parens and no comma included
+scan_text = st.text(alphabet=st.sampled_from("()I,x"), max_size=12)
+
+
+@st.composite
+def scan_loops(draw):
+    """A scan loop under distinct names, after assignments to some of them."""
+    build, arity = draw(st.sampled_from([(_paren_scan, 4), (_unary_scan, 3), (_comma_scan, 2)]))
+    names = draw(esc_names)[:arity]
+    preamble = tuple(Assign(n, Literal(draw(scan_text))) for n in names if draw(st.booleans()))
+    return IfElse(TrueCond(), preamble + (build(*names),), ())
+
+
 stmts = st.recursive(
     st.one_of(
         st.builds(Print, exprs),
         st.builds(Assign, idents, exprs),
         esc_names.map(lambda ns: IfElse(TrueCond(), _esc_stmts(ns[0], ns[3], ns[1], ns[2]), ())),
         esc_names.map(lambda ns: escape_loop(*ns[1:])),
+        scan_loops(),
     ),
     lambda s: st.one_of(
         st.builds(While, conds, st.lists(s, max_size=3).map(tuple)),
@@ -394,6 +411,15 @@ def test_fuel_validation():
         Fuel(1, 0)
 
 
+@pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["bool", "float", "str"])
+def test_fuel_takes_only_positive_int_budgets(value):
+    # a float budget used to run and report a float steps_used
+    with pytest.raises(ValueError, match="^max_steps must be an int >= 1$"):
+        Fuel(value, 1)
+    with pytest.raises(ValueError, match="^max_outputs must be an int >= 1$"):
+        Fuel(1, value)
+
+
 # ---------------------------------------------------------------------------
 # closedness analysis
 # ---------------------------------------------------------------------------
@@ -458,7 +484,7 @@ def test_open_program_messages(src, where):
         evaluate(p, Fuel(10**6, 10))
     assert str(exc.value) == message
     if _ESC_WHD in src:
-        assert objlang._match_escape_loop(p.statements[1]) == ("W", "H", "D")
+        assert objlang._match_fused_loop(p.statements[1])[1] == ("W", "H", "D")
 
 
 _SEEDED_NAMES = ("A", "B", "C")
@@ -537,19 +563,13 @@ def test_golden_seeded_closedness_outcomes():
 # ---------------------------------------------------------------------------
 
 def _fast_and_plain(p: Program, fuel: Fuel):
-    """The Trace (or EvalError text) of ``p``, escape loops fused and not."""
-    def outcome():
-        try:
-            return evaluate(p, fuel)
-        except EvalError as exc:
-            return str(exc)
-
-    fast = outcome()
+    """The outcome of ``p`` (see _outcome), loops fused and not."""
+    fast = _outcome(p, fuel)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(objlang, "_match_escape_loop", lambda s: None)
+        m.setattr(objlang, "_match_fused_loop", lambda s: None)
         # closures cached by an earlier run hold fused loops
         m.setattr(objlang, "_COMPILED", objlang._Cache(0, 0))
-        plain = outcome()
+        plain = _outcome(p, fuel)
     return fast, plain
 
 
@@ -585,7 +605,7 @@ def test_escape_fusion_matches_plain_on_random_programs(p, max_steps, max_output
 
 def test_escape_loop_compiles_to_one_block():
     loop = escape_loop("W", "H", "D")
-    assert objlang._match_escape_loop(loop) == ("W", "H", "D")
+    assert objlang._match_fused_loop(loop)[1] == ("W", "H", "D")
     assert objlang._compile_stmt(loop, {"W", "D"}).__name__ == "do_escape"
 
 
@@ -604,7 +624,7 @@ _LOOP = escape_loop("A", "B", "C")
     ids=["walk_is_char", "char_is_dst", "walk_is_dst", "equals_swapped", "extra_statement"],
 )
 def test_escape_loop_near_misses_take_the_plain_path(loop):
-    assert objlang._match_escape_loop(loop) is None
+    assert objlang._match_fused_loop(loop) is None
     assert objlang._compile_stmt(loop, {"A", "B", "C"}).__name__ == "do_while"
     setup = tuple(Assign(v, Literal(t)) for v, t in (("A", "x'y\\z"), ("B", "b"), ("C", "c")))
     p = Program(setup + (loop, Print(Var("A")), Print(Var("B")), Print(Var("C"))))
@@ -649,3 +669,156 @@ def test_escape_loop_leaves_newlines_raw():
     assert fast == plain
     assert fast.outputs == ("a\nb\\'",)
     assert fast.outputs[0] != escape_literal("a\nb'")
+
+
+# ---------------------------------------------------------------------------
+# the driver's scan loops run as one block too
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "loop, names, closure",
+    [
+        (_paren_scan("P", "W", "M", "B"), ("P", "W", "M", "B"), "do_paren_scan"),
+        (_unary_scan("Q", "W", "K"), ("Q", "W", "K"), "do_unary_scan"),
+        (_comma_scan("S", "G"), ("S", "G"), "do_comma_scan"),
+    ],
+    ids=["paren", "unary", "comma"],
+)
+def test_scan_loops_compile_to_one_block(loop, names, closure):
+    assert objlang._match_fused_loop(loop)[1] == names
+    assert objlang._compile_stmt(loop, set(names)).__name__ == closure
+
+
+def _assert_block_cost(loop, before: dict, cost: int, after: dict):
+    """Run ``loop`` from the values ``before``: ``cost`` steps, then the values ``after``."""
+    setup = tuple(Assign(n, Literal(v)) for n, v in before.items())
+    p = Program(setup + (loop,) + tuple(Print(Var(n)) for n in after))
+    n, outputs = len(setup), tuple(after.values())
+    want = Trace(outputs, TraceStatus.HALTED, n + cost + len(outputs))
+    assert _fast_and_plain(p, Fuel(n + cost + len(outputs), len(outputs))) == (want, want)
+    # one step short of the whole loop: the run stops with every step spent
+    short = Trace((), TraceStatus.FUEL_EXHAUSTED, n + cost - 1)
+    assert _fast_and_plain(p, Fuel(n + cost - 1, len(outputs))) == (short, short)
+
+
+@pytest.mark.parametrize(
+    "depth, walk, acc, cost, rest, gained",
+    [
+        ("I", ")", "", 8, "", ""),
+        ("I", "()I)II", "b", 28, "II", "()I"),
+        ("II", "))x", "b", 16, "x", ")"),
+        ("xyz", "a)(b)))", "", 50, "", "a)(b))"),
+        ("I", "x'\\\n)(", "", 32, "(", "x'\\\n"),
+    ],
+)
+def test_paren_scan_cost_is_pinned(depth, walk, acc, cost, rest, gained):
+    # 6 per character consumed and 2 per ")" among them: a ")" costs 8 but
+    # the last one 7, and the final check 1
+    k = len(walk) - len(rest)
+    assert cost == 6 * k + 2 * walk[:k].count(")")
+    before = {"P": depth, "W": walk, "M": "m", "B": acc}
+    after = {"P": "", "W": rest, "M": ")", "B": acc + gained}
+    _assert_block_cost(_paren_scan("P", "W", "M", "B"), before, cost, after)
+
+
+@pytest.mark.parametrize(
+    "walk, acc, cost, rest",
+    [("", "", 4, ""), ("III", "k", 19, ""), ("II(I", "", 15, "(I"), ("(", "k", 5, "("),
+     ("I,I", "", 10, ",I")],
+)
+def test_unary_scan_cost_is_pinned(walk, acc, cost, rest):
+    # 5 per leading I; then 4 if the walk is used up, else 5
+    m = len(walk) - len(rest)
+    assert cost == 5 * m + (4 if not rest else 5)
+    before = {"Q": "xx", "W": walk, "K": acc}
+    after = {"Q": "", "W": rest, "K": acc + "I" * m}
+    _assert_block_cost(_unary_scan("Q", "W", "K"), before, cost, after)
+
+
+@pytest.mark.parametrize(
+    "stack, acc, cost", [(",", "g", 1), ("ab,", "", 7), ("(()I)I,(,", "g", 19), ("I,,", "", 4)]
+)
+def test_comma_scan_cost_is_pinned(stack, acc, cost):
+    # 3 per character before the first comma, 1 for the final check
+    j = stack.index(",")
+    assert cost == 3 * j + 1
+    before = {"S": stack, "G": acc}
+    after = {"S": stack[j:], "G": acc + stack[:j]}
+    _assert_block_cost(_comma_scan("S", "G"), before, cost, after)
+
+
+@pytest.mark.parametrize(
+    "loop", [_paren_scan("P", "W", "M", "B"), _unary_scan("P", "W", "B")], ids=["paren", "unary"]
+)
+def test_scan_with_an_empty_depth_or_flag_costs_one_step(loop):
+    before = {"P": "", "W": "((I", "M": "m", "B": "b"}
+    _assert_block_cost(loop, before, 1, before)
+
+
+_PAREN = _paren_scan("A", "B", "C", "D")
+_UNARY = _unary_scan("A", "B", "C")
+_COMMA = _comma_scan("A", "B")
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        While(Not(Equals(Literal(""), Var("A"))), _PAREN.body),
+        _paren_scan("A", "A", "C", "D"),
+        _paren_scan("A", "B", "C", "A"),
+        _paren_scan("A", "B", "B", "D"),
+        While(_PAREN.cond, _PAREN.body + (Assign("D", Var("D")),)),
+        While(Not(Equals(Literal(""), Var("A"))), _UNARY.body),
+        _unary_scan("A", "A", "C"),
+        _unary_scan("A", "B", "A"),
+        While(_UNARY.cond, _UNARY.body + (Assign("C", Var("C")),)),
+        While(Not(Equals(Literal(","), Head(Var("A")))), _COMMA.body),
+        _comma_scan("A", "A"),
+        While(_COMMA.cond, _COMMA.body + (Assign("B", Var("B")),)),
+    ],
+    ids=["paren_swapped", "paren_depth_is_walk", "paren_depth_is_acc", "paren_walk_is_char",
+         "paren_extra_statement", "unary_swapped", "unary_flag_is_walk", "unary_flag_is_acc",
+         "unary_extra_statement", "comma_swapped", "comma_stack_is_acc", "comma_extra_statement"],
+)
+def test_scan_loop_near_misses_take_the_plain_path(loop):
+    assert objlang._match_fused_loop(loop) is None
+    assert objlang._compile_stmt(loop, {"A", "B", "C", "D"}).__name__ == "do_while"
+    for values in (("I", "(()I)I,x", "c", "d"), ("II", "IIx,I", "", ",")):
+        setup = tuple(Assign(v, Literal(t)) for v, t in zip("ABCD", values))
+        p = Program(setup + (loop,) + tuple(Print(Var(v)) for v in "ABCD"))
+        for max_steps in (1, 7, 40, 500):
+            fast, plain = _fast_and_plain(p, Fuel(max_steps, 4))
+            assert fast == plain
+
+
+# Values that make the passes fail: the walk or the stack runs out (Head of
+# an empty string), or a value passes a length limit lowered for the test.
+# The fused loop must fail, or stop on fuel, exactly where the passes do.
+@pytest.mark.parametrize(
+    "loop, values, limit",
+    [
+        (_paren_scan("P", "W", "M", "B"), {"P": "I", "W": "(()I", "M": "", "B": ""}, None),
+        (_paren_scan("P", "W", "M", "B"), {"P": "III", "W": "))", "M": "", "B": "b"}, None),
+        (_paren_scan("P", "W", "M", "B"), {"P": "I", "W": "((((()))))", "M": "", "B": ""}, 4),
+        (_paren_scan("P", "W", "M", "B"), {"P": "I", "W": "abcdef)", "M": "", "B": "bb"}, 6),
+        (_unary_scan("Q", "W", "K"), {"Q": "x", "W": "IIIIII(", "K": "kkk"}, 6),
+        (_comma_scan("S", "G"), {"S": "ab", "G": "g"}, None),
+        (_comma_scan("S", "G"), {"S": "", "G": "g"}, None),
+        (_comma_scan("S", "G"), {"S": "abcdef,", "G": "gg"}, 5),
+        (escape_loop("W", "H", "D"), {"W": "ab'c", "H": "", "D": "123456"}, 10),
+    ],
+    ids=["paren_walk_runs_out", "paren_no_open", "paren_depth_too_long", "paren_acc_too_long",
+         "unary_acc_too_long", "comma_none", "comma_empty", "comma_acc_too_long",
+         "escape_dst_too_long"],
+)
+def test_failing_loops_match_the_passes_at_every_step_budget(loop, values, limit, monkeypatch):
+    if limit is not None:
+        monkeypatch.setattr(objlang, "_MAX_VALUE_LEN", limit)
+    setup = tuple(Assign(n, Literal(v)) for n, v in values.items())
+    p = Program(setup + (loop, Print(Literal("done"))))
+    full = _fast_and_plain(p, Fuel(10**4, 1))
+    assert full[0] == full[1] and full[0][0] is (EvalError if limit is None else LengthLimitError)
+    for max_steps in range(1, 80):
+        fast, plain = _fast_and_plain(p, Fuel(max_steps, 1))
+        assert fast == plain, max_steps
+    assert (fast, plain) == full
