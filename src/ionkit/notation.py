@@ -58,6 +58,7 @@ from .objlang import (
     While,
     _comma_scan,
     _paren_scan,
+    _register_skeleton,
     _unary_scan,
     concat,
     escape_literal,
@@ -164,7 +165,7 @@ _A0_WHILE = While(
 )
 
 # Serialization of everything after the X= assignment, shared with the driver.
-_A0_REST = serialize(Program((_A0_WHILE,)))
+_A0_REST = _register_skeleton((_A0_WHILE,), {"X"})
 
 
 def _a0_program(base_source: str) -> Program:
@@ -371,8 +372,7 @@ _DRIVER_CODE_TEXT = serialize(Program(_DRIVER_STMTS))
 # which is also the value of L: the driver can rebuild its own kind.
 _DRIVER_TAIL = (Assign("L", Literal(_DRIVER_CODE_TEXT)),) + _DRIVER_STMTS
 
-
-_DRIVER_TAIL_TEXT = serialize(Program(_DRIVER_TAIL))
+_DRIVER_TAIL_TEXT = _register_skeleton(_DRIVER_TAIL, {"C"})
 
 
 def _driver_program(enc: str) -> Program:
@@ -484,7 +484,7 @@ def decompile(p: Program) -> Ordinal | None:
                 break
         try:
             ss = parse(text).statements
-        except ParseError:
+        except (ParseError, RecursionError):  # not a program, or nested too deep to parse
             return None
     match ss:
         case ():
@@ -622,6 +622,13 @@ def _explore(
     return proven, bound
 
 
+def _check_max_depth(max_depth: int) -> None:
+    # As with Fuel, a bool or float is refused: the walk stops at a level
+    # equal to max_depth, which 2.5 never is.
+    if type(max_depth) is not int or max_depth < 1:
+        raise ValueError("max_depth must be an int >= 1")
+
+
 def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
     """Fuel-bounded membership check, recursing through printed outputs.
 
@@ -633,8 +640,7 @@ def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
     child values. Everything else is Inconclusive: membership is not
     computably enumerable, so no fuel setting can decide it in general.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    _check_max_depth(max_depth)
     acct = _Acct()
     r = _explore(p, fuel, 1, (), max_depth, acct)
     if isinstance(r, Refuted):
@@ -654,8 +660,7 @@ def value_lower_bound(p: Program, fuel: Fuel, max_depth: int) -> tuple[Ordinal, 
     returned and the bound must be ignored. The tree is the one ``verify``
     walks, so a ProvenMember(v) verdict means (v, False) here.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    _check_max_depth(max_depth)
     r = _explore(p, fuel, 1, (), max_depth, _Acct())
     return (ZERO, True) if isinstance(r, Refuted) else (r[1], False)
 

@@ -27,7 +27,6 @@ Literal escapes are exactly ``\\'``, ``\\\\``, and ``\\n``.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NoReturn, Union
@@ -353,61 +352,27 @@ def serialize(p: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# skeleton caches
+# skeletons
 #
-# Compiled notation programs are a data assignment (C='...' or X='...')
-# followed by a fixed skeleton, and verification parses and runs thousands of
-# them, so the parser keeps the statements parsed from the text after a
-# program's first statement and the compiler keeps the closures of top-level
-# While and If blocks. Each cache holds at most _CACHE_ENTRIES entries
-# standing for at most _CACHE_BYTES characters of source, none above
-# _CACHE_ITEM_BYTES, and drops the least recently used entry first.
+# Every program the notation compiler emits is a data assignment (C='...' or
+# X='...') followed by one of two fixed skeletons. The notation module
+# registers both when it is imported; after that the two tables are only
+# read, by the parser (keyed on a skeleton's text, End included) and by the
+# compiler (keyed on the ids of a skeleton's statements).
 # ---------------------------------------------------------------------------
 
-_CACHE_ENTRIES = 64
-_CACHE_BYTES = 1 << 18
-_CACHE_ITEM_BYTES = 1 << 16
+_SKELETON_STMTS: dict[str, tuple[Statement, ...]] = {}
+# ids -> (names assigned before the skeleton, its closures, its statements)
+_SKELETON_FNS: dict[tuple[int, ...], tuple[frozenset[str], tuple, tuple[Statement, ...]]] = {}
 
 
-class _Cache:
-    """A least-recently-used map bounded by entry count and by bytes of source."""
-
-    __slots__ = ("entries", "nbytes", "max_entries", "max_bytes", "lock")
-
-    def __init__(self, max_entries: int, max_bytes: int):
-        self.entries: dict = {}  # key -> (value, nbytes), oldest use first
-        self.nbytes = 0
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.lock = threading.Lock()
-
-    def get(self, key):
-        with self.lock:
-            hit = self.entries.pop(key, None)
-            if hit is None:
-                return None
-            self.entries[key] = hit
-            return hit[0]
-
-    def put(self, key, value, nbytes: int) -> None:
-        if nbytes > _CACHE_ITEM_BYTES:
-            return
-        with self.lock:
-            # another thread may have stored the same key since this one missed
-            old = self.entries.pop(key, None)
-            if old is not None:
-                self.nbytes -= old[1]
-            self.entries[key] = (value, nbytes)
-            self.nbytes += nbytes
-            while len(self.entries) > self.max_entries or self.nbytes > self.max_bytes:
-                self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
-
-
-_PARSED = _Cache(_CACHE_ENTRIES, _CACHE_BYTES)
-_COMPILED = _Cache(_CACHE_ENTRIES, _CACHE_BYTES)
-
-# Text after a first statement shorter than this is cheap to parse afresh.
-_SUFFIX_MIN = 64
+def _register_skeleton(stmts: tuple[Statement, ...], names_before: set[str]) -> str:
+    """Register ``stmts``, closed once ``names_before`` are assigned; its text."""
+    text = serialize(Program(stmts))
+    fns, _ = _compile_block(stmts, names_before)
+    _SKELETON_STMTS[text] = stmts
+    _SKELETON_FNS[tuple(map(id, stmts))] = (frozenset(names_before), fns, stmts)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +431,14 @@ class _Parser:
         if not first:
             return Program(())
         # What follows a top-level statement parses the same whatever came
-        # before it, so a hit gives exactly the statements a fresh parse
-        # would. Only text that parsed is stored: every ParseError is fresh.
+        # before it. Only a skeleton's exact text is looked up, so every
+        # ParseError comes from a fresh parse.
         self.skip_ws()
         rest_len = len(self.src) - self.pos
-        if not _SUFFIX_MIN <= rest_len <= _CACHE_ITEM_BYTES:
-            return Program(first + self.top_level())
-        text = self.src[self.pos :]
-        rest = _PARSED.get(text)
-        if rest is None:
-            rest = self.top_level()
-            _PARSED.put(text, rest, rest_len)
-        return Program(first + rest)
+        for text, stmts in _SKELETON_STMTS.items():
+            if len(text) == rest_len and self.src.startswith(text, self.pos):
+                return Program(first + stmts)
+        return Program(first + self.top_level())
 
     def top_level(self, count: int = -1) -> tuple[Statement, ...]:
         """The next ``count`` top-level statements, or all up to 'End' and the end of input."""
@@ -777,8 +738,9 @@ class _Run:
 # driver's paren, unary and comma scans. Each of them is one closure that
 # does its work with str operations and is charged the exact step cost of
 # its passes (see _match_fused_loop).
-# The closures of a program's top-level While and If blocks are cached (see
-# _compile_program), so a skeleton shared by many programs is built once.
+# The closures of the two registered skeletons are built once, when they are
+# registered, and reused by every program that ends in one (see
+# _compile_program).
 
 def _compile_expr(e: Expr, reads: set[str]) -> Callable[[_Run], object]:
     match e:
@@ -1103,29 +1065,17 @@ def _compile_block(stmts: tuple[Statement, ...], assigned: set[str]) -> tuple[tu
 def _compile_program(stmts: tuple[Statement, ...]) -> tuple:
     """The closures of a program's statements; raises OpenProgramError if it is open.
 
-    A While or If closure depends only on the statement and on the names
-    assigned before it, which also decide its closedness, so it is cached
-    under the statement's identity and those names. Blocks nested inside are
-    reached through their top-level statement and are not cached apart.
+    When the statements after the first are a registered skeleton's very
+    objects, and the first assigns every name the skeleton was registered
+    with, the skeleton's closures are reused: a closure depends only on its
+    statement, and a block closed under some names is closed under more.
     """
     current: set[str] = set()
-    fns = []
-    for s in stmts:
-        if not isinstance(s, (While, IfElse)):
-            fns.append(_compile_stmt(s, current))
-            continue
-        key = (id(s), frozenset(current))
-        hit = _COMPILED.get(key)
-        if hit is not None and hit[0] is s:
-            fns.append(hit[1])
-            current |= hit[2]
-            continue
-        fn = _compile_stmt(s, current)
-        fns.append(fn)
-        text: list[str] = []
-        _emit_stmt(s, text)
-        _COMPILED.put(key, (s, fn, current - key[1]), sum(map(len, text)))
-    return tuple(fns)
+    fns = tuple(_compile_stmt(s, current) for s in stmts[:1])
+    skeleton = _SKELETON_FNS.get(tuple(map(id, stmts[1:])))
+    if skeleton is not None and skeleton[0] <= current:
+        return fns + skeleton[1]
+    return fns + tuple(_compile_stmt(s, current) for s in stmts[1:])
 
 
 def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
@@ -1201,12 +1151,12 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
     under any distinct variable names. Raises
     :class:`EvalError` for Head/Tail of the empty string, and
     :class:`OpenProgramError` if the program is not closed: closedness is
-    checked while the closures are built, before any step runs. The closures
-    of top-level While and If blocks are kept between calls (a bounded cache
-    keyed on the statement object and the names assigned before it), so a
-    skeleton shared by many programs is built and checked once. Raises
-    :class:`LengthLimitError` when a string value would grow past the
-    length limit.
+    checked while the closures are built, before any step runs. A program
+    whose statements after the first are a registered skeleton (the
+    notation's A0 loop or driver tail, the very objects) runs the closures
+    built when the skeleton was registered, if its first statement assigns
+    the names the skeleton needs. Raises :class:`LengthLimitError` when a
+    string value would grow past the length limit.
     """
     top = _compile_program(p.statements)
     run = _Run(fuel)

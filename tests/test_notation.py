@@ -182,6 +182,9 @@ def test_decompile_rejects_near_misses():
     assert decompile(parse(src)) == o("w^2")
     broken = parse(src.replace("C='", "C='x", 1))
     assert decompile(broken) is None
+    # a print of a program nested too deep to parse
+    deep = "Print(" + "Head(" * 3000 + "''" + ")" * 3000 + ");End"
+    assert decompile(Program((Print(Literal(deep)),))) is None
 
 
 @hyp.given(st.integers(0, 2**31))
@@ -554,6 +557,15 @@ def test_certificate_roundtrip():
     surface, digest = parse_certificate(certificate_text(o("w^2+1"), src))
     assert surface == "w^2+1"
     assert digest == hashlib.sha256(src.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("max_depth", [0, 2.5, True], ids=["zero", "float", "bool"])
+def test_verify_and_value_refuse_a_max_depth_that_is_not_a_positive_int(max_depth):
+    p = compile_ordinal(o("w^w"))
+    with pytest.raises(ValueError, match="max_depth must be an int >= 1"):
+        verify(p, Fuel(3000, 3), max_depth)
+    with pytest.raises(ValueError, match="max_depth must be an int >= 1"):
+        value_lower_bound(p, Fuel(3000, 3), max_depth)
 
 
 def test_certificate_rejects_malformed():

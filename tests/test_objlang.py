@@ -567,8 +567,8 @@ def _fast_and_plain(p: Program, fuel: Fuel):
     fast = _outcome(p, fuel)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(objlang, "_match_fused_loop", lambda s: None)
-        # closures cached by an earlier run hold fused loops
-        m.setattr(objlang, "_COMPILED", objlang._Cache(0, 0))
+        # the closures built when the skeletons were registered hold fused loops
+        m.setattr(objlang, "_SKELETON_FNS", {})
         plain = _outcome(p, fuel)
     return fast, plain
 

@@ -1,8 +1,10 @@
-"""The parser's suffix cache and the compiler's closure cache change nothing a
-caller can see: every result and every error text equals the one computed
-with caches that never store, and both caches stay within their bounds."""
+"""The parser's and the compiler's skeleton tables change nothing a caller can
+see: every result and every error text equals the one computed with both
+tables empty. The tables hold the notation's two skeletons and are never
+written after import."""
 
 import contextlib
+import operator
 import random
 import sys
 import threading
@@ -13,15 +15,29 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_SEED
 from ionkit import objlang
-from ionkit.notation import compile_ordinal, source_of, value_lower_bound, verify
+from ionkit.notation import (
+    _A0_WHILE,
+    _DRIVER_TAIL,
+    compile_ordinal,
+    decompile,
+    source_of,
+    value_lower_bound,
+    verify,
+)
 from ionkit.objlang import (
+    Assign,
+    Equals,
     Fuel,
+    IfElse,
     Literal,
+    Not,
     ObjLangError,
     OpenProgramError,
     ParseError,
     Print,
     Program,
+    TrueCond,
+    While,
     evaluate,
     parse,
     serialize,
@@ -32,10 +48,10 @@ from test_objlang import OPEN_PROGRAMS, VERIFY_FUEL_LADDER, programs
 
 
 @contextlib.contextmanager
-def caches_that_never_store():
+def empty_skeleton_tables():
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(objlang, "_PARSED", objlang._Cache(0, 0))
-        m.setattr(objlang, "_COMPILED", objlang._Cache(0, 0))
+        m.setattr(objlang, "_SKELETON_STMTS", {})
+        m.setattr(objlang, "_SKELETON_FNS", {})
         yield
 
 
@@ -55,7 +71,7 @@ def _outcomes(p: Program, fuels: tuple[Fuel, ...], max_depth: int):
 
 def _warm_and_cold(cases):
     warm = [_outcomes(*case) for case in cases]
-    with caches_that_never_store():
+    with empty_skeleton_tables():
         cold = [_outcomes(*case) for case in cases]
     return warm, cold
 
@@ -65,7 +81,6 @@ def test_corpus_at_the_verify_fuel_ladder(corpus200):
     warm, cold = _warm_and_cold([(parse(source_of(a)), ladder, 4) for a in corpus200])
     for a, w, c in zip(corpus200, warm, cold):
         assert w == c, a
-    assert objlang._PARSED.entries and objlang._COMPILED.entries
 
 
 def _mutant(a, k: int) -> Program:
@@ -115,7 +130,7 @@ def test_parse_errors_with_warm_caches(corpus200):
             texts += [src[:i] + ch + src[i:], src[:i] + src[i + 1 :], src[:i] + ch + src[i + 1 :]]
         texts.append(src[: rng.randrange(len(src))])
     warm = [_parse_outcome(t) for t in texts]
-    with caches_that_never_store():
+    with empty_skeleton_tables():
         cold = [_parse_outcome(t) for t in texts]
     for text, w, c in zip(texts, warm, cold):
         assert w == c, text[:120]
@@ -132,41 +147,117 @@ def test_open_program_messages_after_a_driver_ran(src, where):
 
 def test_driver_without_its_data_is_open_with_warm_caches():
     p = compile_ordinal(parse_ordinal("w^w"))
-    evaluate(p, Fuel(3000, 3))  # caches the driver's loop under the names before it, C included
-    headless = Program(p.statements[1:])
-    message = "variable 'C' may be read before assignment in assignment to 'A'"
-    for q in (headless, parse(serialize(headless)), headless):
-        with pytest.raises(OpenProgramError) as warm:
-            evaluate(q, Fuel(3000, 3))
-        with caches_that_never_store(), pytest.raises(OpenProgramError) as cold:
-            evaluate(q, Fuel(3000, 3))
-        assert str(warm.value) == str(cold.value) == message
+    evaluate(p, Fuel(3000, 3))
+    # A first statement that leaves C (X for the A0 loop) unassigned on some
+    # path: the skeleton's closures are not reused, and the fresh compile
+    # names the first read of it.
+    a0 = compile_ordinal(parse_ordinal("w*2")).statements[1:]
+    driver_message = "variable 'C' may be read before assignment in assignment to 'A'"
+    cases = [
+        ((), p.statements[1:], driver_message),
+        ((Print(Literal("x")),), p.statements[1:], driver_message),
+        ((While(Not(TrueCond()), (Assign("C", Literal("()I")),)),), p.statements[1:], driver_message),
+        ((Print(Literal("x")),), a0, "variable 'X' may be read before assignment in Print"),
+    ]
+    for first, skeleton, message in cases:
+        q = Program(first + skeleton)
+        for r in (q, parse(serialize(q))):
+            with pytest.raises(OpenProgramError) as warm:
+                evaluate(r, Fuel(3000, 3))
+            with empty_skeleton_tables(), pytest.raises(OpenProgramError) as cold:
+                evaluate(r, Fuel(3000, 3))
+            assert str(warm.value) == str(cold.value) == message
+
+
+def _skeleton_closures(stmts):
+    return objlang._SKELETON_FNS[tuple(map(id, stmts))][1]
+
+
+def test_a_first_statement_assigning_more_names_reuses_the_closures():
+    # The If assigns C and Z on both paths, a superset of the driver's {C}.
+    enc = "((()I)I)I"  # w^w
+    first = IfElse(
+        Equals(Literal(""), Literal("")),
+        (Assign("C", Literal(enc)), Assign("Z", Literal(""))),
+        (Assign("Z", Literal("")), Assign("C", Literal(enc))),
+    )
+    p = Program((first,) + _DRIVER_TAIL)
+    fns = objlang._compile_program(p.statements)
+    assert all(map(operator.is_, fns[1:], _skeleton_closures(_DRIVER_TAIL)))
+    assert len(fns) == len(p.statements)
+    driver = compile_ordinal(parse_ordinal("w^w"))
+    warm = evaluate(p, Fuel(5000, 3))
+    with empty_skeleton_tables():
+        cold = evaluate(p, Fuel(5000, 3))
+    assert warm == cold == evaluate(driver, Fuel(5000, 3))
+    # the compiled and reparsed programs reuse them too
+    for text, skeleton in (("w^w", _DRIVER_TAIL), ("w*2", (_A0_WHILE,))):
+        q = parse(source_of(parse_ordinal(text)))
+        fns = objlang._compile_program(q.statements)
+        assert all(map(operator.is_, fns[1:], _skeleton_closures(skeleton)))
 
 
 # ---------------------------------------------------------------------------
-# bounds
+# the tables
 # ---------------------------------------------------------------------------
 
-def test_caches_stay_within_their_bounds():
-    # The text after the first statement, and the loop, range from under 100
-    # bytes to over 1 MB, so the entry, byte and per-entry bounds all bind.
+def test_the_tables_hold_the_two_skeletons():
+    assert list(objlang._SKELETON_STMTS.values()) == [(_A0_WHILE,), _DRIVER_TAIL]
+    assert [(v[0], v[2]) for v in objlang._SKELETON_FNS.values()] == [
+        ({"X"}, (_A0_WHILE,)),
+        ({"C"}, _DRIVER_TAIL),
+    ]
+
+
+def test_each_registered_text_parses_afresh_to_its_statements():
+    for text, stmts in objlang._SKELETON_STMTS.items():
+        assert text == serialize(Program(stmts))
+        with empty_skeleton_tables():
+            fresh = parse(text).statements
+        assert fresh == stmts and fresh[0] is not stmts[0]
+
+
+@pytest.mark.parametrize("text", ["w^w+w*2+3", "w^2+w*3"], ids=["driver", "a0"])
+def test_parsed_and_compiled_programs_share_the_skeleton(text):
+    a = parse_ordinal(text)
+    parsed, compiled = parse(source_of(a)).statements[1:], compile_ordinal(a).statements[1:]
+    assert len(parsed) == len(compiled) and all(map(operator.is_, parsed, compiled))
+    # decompile peels the Print and A0 wraps down to one of the two skeletons
+    assert decompile(parse(source_of(a))) == a
+
+
+def _snapshot():
+    return dict(objlang._SKELETON_STMTS), dict(objlang._SKELETON_FNS)
+
+
+def _assert_unchanged(before):
+    stmts, fns = before
+    assert objlang._SKELETON_STMTS.keys() == stmts.keys()
+    assert all(objlang._SKELETON_STMTS[k] is v for k, v in stmts.items())
+    assert objlang._SKELETON_FNS.keys() == fns.keys()
+    assert all(objlang._SKELETON_FNS[k] is v for k, v in fns.items())
+
+
+def test_parsing_and_running_programs_leaves_the_tables_unchanged():
+    # 2000 distinct programs, the text after the first statement ranging from
+    # under 100 bytes to over 1 MB, plus the two skeletons under other data
+    before = _snapshot()
     for i in range(2000):
         pad = "p" * (1 << 20 if i == 1000 else (i % 40) * 1500 if i % 7 == 0 else 0)
         src = f"X='ab{i}';While(Not(Equals(X,''))){{X=Tail(X);Print('{pad}{i}');}}End"
         assert len(evaluate(parse(src), Fuel(40, 2)).outputs) == 2
-    _assert_within_bounds()
-
-
-def _assert_within_bounds():
-    for cache in (objlang._PARSED, objlang._COMPILED):
-        sizes = [n for _, n in cache.entries.values()]
-        assert 0 < len(sizes) <= objlang._CACHE_ENTRIES
-        assert cache.nbytes == sum(sizes) <= objlang._CACHE_BYTES
-        assert max(sizes) <= objlang._CACHE_ITEM_BYTES
+    for text in ("w*7", "w^w*2+w^3+1"):
+        p = parse(source_of(parse_ordinal(text)))
+        evaluate(p, Fuel(3000, 2))
+        evaluate(parse(serialize(Program((Print(Literal("x")),) + p.statements))), Fuel(3000, 2))
+    _assert_unchanged(before)
 
 
 def test_caches_stay_consistent_across_threads():
-    # More threads than cores, switching often, all storing into both caches.
+    # More threads than cores, switching often, all reading both tables.
+    before = _snapshot()
+    driver = source_of(parse_ordinal("w^w"))
+    expected = evaluate(parse(driver), Fuel(3000, 2))
     errors = []
 
     def work(t: int):
@@ -174,6 +265,8 @@ def test_caches_stay_consistent_across_threads():
             for i in range(300):
                 src = f"X='ab{t}';While(Not(Equals(X,''))){{X=Tail(X);Print('{'q' * (i * 997 % 9000)}');}}End"
                 assert len(evaluate(parse(src), Fuel(40, 2)).outputs) == 2
+                if i % 30 == 0:
+                    assert evaluate(parse(driver), Fuel(3000, 2)) == expected
         except Exception as exc:  # reported below; a thread's failure is otherwise lost
             errors.append(exc)
 
@@ -189,4 +282,4 @@ def test_caches_stay_consistent_across_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors, errors
-    _assert_within_bounds()
+    _assert_unchanged(before)
