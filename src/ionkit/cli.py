@@ -57,7 +57,8 @@ from .lineage import (
 
 __all__ = ["main"]
 
-# RecursionError: input nested too deep for the recursive parsers and evaluator.
+# RecursionError: program text nested too deep for the object-language parser
+# and evaluator (ordinal and hydra text stop at ordinals.NESTING_LIMIT instead).
 _DOMAIN_ERRORS = (
     ObjLangError, OrdinalError, LineageError, OSError, ValueError, RecursionError,
 )

@@ -370,14 +370,44 @@ def event_to_json(ev: LineageEvent) -> dict:
     }
 
 
+_EVENT_KINDS = frozenset(k.value for k in EventKind)
+
+
+def _is_int(value: object) -> bool:
+    return type(value) is int  # not a bool, not a float
+
+
+# Each field of an event's JSON object: the test its value must pass, and
+# what the error says it must be.
+_EVENT_FIELDS = (
+    ("kind", lambda v: isinstance(v, str) and v in _EVENT_KINDS,
+     "one of " + ", ".join(repr(k.value) for k in EventKind)),
+    ("childId", _is_int, "an integer"),
+    ("parentIds", lambda v: type(v) is list and all(map(_is_int, v)), "a list of integers"),
+    ("childIntelligence", lambda v: type(v) is str, "a string"),
+    ("seedUsed", _is_int, "an integer"),
+    ("eventIndex", _is_int, "an integer"),
+)
+
+
 def event_from_json(data: dict) -> LineageEvent:
+    """The event that one JSON object of a log describes.
+
+    A missing field, or one of the wrong JSON type, raises ``ValueError``
+    naming the field; nothing is coerced.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("event must be a JSON object")
+    for key, ok, what in _EVENT_FIELDS:
+        if not ok(data.get(key)):
+            raise ValueError(f"event field {key!r} must be {what}")
     return LineageEvent(
         EventKind(data["kind"]),
-        int(data["childId"]),
-        tuple(int(x) for x in data["parentIds"]),
+        data["childId"],
+        tuple(data["parentIds"]),
         parse_ordinal(data["childIntelligence"]),
-        int(data["seedUsed"]),
-        int(data["eventIndex"]),
+        data["seedUsed"],
+        data["eventIndex"],
     )
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "natural_sum",
     "depth",
     "DEPTH_LIMIT",
+    "NESTING_LIMIT",
     "OrdinalError",
     "OrdinalOverflowError",
     "OrdinalParseError",
@@ -83,6 +84,12 @@ class MaxLenExceededError(OrdinalError):
 
 
 DEPTH_LIMIT = 64
+# Deepest nesting the two parsers accept: groups (parentheses and exponents)
+# in ordinal text, levels in a hydra shape. Twice DEPTH_LIMIT, so the canonical
+# text of every ordinal within the depth limit parses; at four frames per
+# parenthesis the parsers stay far inside the default recursion limit.
+NESTING_LIMIT = 128
+_NESTING_MESSAGE = f"nesting deeper than the limit of {NESTING_LIMIT}"
 
 
 class Ordinal:
@@ -190,36 +197,55 @@ def compare(a: Ordinal, b: Ordinal) -> Comparison:
     return Comparison.LESS if c < 0 else Comparison.EQUAL if c == 0 else Comparison.GREATER
 
 
+# Arithmetic works on term tuples, so a chain of operations (a parse, a
+# fundamental sequence) builds an Ordinal only for its result and the exponents
+# that result holds, never for the partial sums and products on the way.
+_Terms = tuple[tuple[Ordinal, int], ...]
+
+
+def _add_terms(a: _Terms, b: _Terms) -> _Terms:
+    """Terms of a + b: the terms of a below b's leading exponent are absorbed."""
+    if not b:
+        return a
+    eb = b[0][0]
+    keep = len(a)
+    while keep > 0 and _cmp(a[keep - 1][0], eb) < 0:
+        keep -= 1
+    if keep > 0 and a[keep - 1][0] is eb:
+        return a[: keep - 1] + ((eb, a[keep - 1][1] + b[0][1]),) + b[1:]
+    return a[:keep] + b
+
+
+def _mul_terms(a: _Terms, b: _Terms) -> _Terms:
+    """Terms of a * b; left-distributes over the terms of b."""
+    if not a or not b:
+        return ()
+    e0, c0 = a[0]
+    out: _Terms = ()
+    for eb, cb in b:
+        if not eb.terms:
+            # Finite factor scales the leading coefficient, tail survives.
+            part = ((e0, c0 * cb),) + a[1:]
+        else:
+            part = ((add(e0, eb), cb),)
+        out = _add_terms(out, part)
+    return out
+
+
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal addition; left-absorbing (1 + w = w)."""
     if not b.terms:
         return a
     if not a.terms:
         return b
-    eb = b.terms[0][0]
-    keep = len(a.terms)
-    while keep > 0 and _cmp(a.terms[keep - 1][0], eb) < 0:
-        keep -= 1
-    if keep > 0 and a.terms[keep - 1][0] is eb:
-        merged = (eb, a.terms[keep - 1][1] + b.terms[0][1])
-        return Ordinal(a.terms[: keep - 1] + (merged,) + b.terms[1:])
-    return Ordinal(a.terms[:keep] + b.terms)
+    return Ordinal(_add_terms(a.terms, b.terms))
 
 
 def mul(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal multiplication; left-distributes over addition on the right."""
     if not a.terms or not b.terms:
         return ZERO
-    e0, c0 = a.terms[0]
-    out = ZERO
-    for eb, cb in b.terms:
-        if not eb.terms:
-            # Finite factor scales the leading coefficient, tail survives.
-            part = Ordinal(((e0, c0 * cb),) + a.terms[1:])
-        else:
-            part = Ordinal(((add(e0, eb), cb),))
-        out = add(out, part)
-    return out
+    return Ordinal(_mul_terms(a.terms, b.terms))
 
 
 @lru_cache(maxsize=None)
@@ -228,12 +254,17 @@ def depth(a: Ordinal) -> int:
     return a._depth
 
 
-def omega_pow(a: Ordinal) -> Ordinal:
-    """w raised to ``a``; the only constructor that can deepen nesting."""
-    out = Ordinal(((a, 1),))
-    if out._depth > DEPTH_LIMIT:
+def _omega_pow_terms(a: Ordinal) -> _Terms:
+    """Terms of w raised to ``a``; the only construction that can deepen nesting,
+    so the one place DEPTH_LIMIT is checked (``omega_pow`` and the parser)."""
+    if a._depth >= DEPTH_LIMIT:  # w^a is one level deeper than a
         raise OrdinalOverflowError(f"nesting depth exceeds {DEPTH_LIMIT}")
-    return out
+    return ((a, 1),)
+
+
+def omega_pow(a: Ordinal) -> Ordinal:
+    """w raised to ``a``."""
+    return Ordinal(_omega_pow_terms(a))
 
 
 def natural_sum(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -280,15 +311,36 @@ def predecessor(a: Ordinal) -> Ordinal:
     """Predecessor of a successor ordinal."""
     if classify(a) is not Kind.SUCCESSOR:
         raise ValueError(f"{a!r} is not a successor")
-    return Ordinal(_minus_last_power(a)[0])
+    return Ordinal(_minus_last_power(a.terms)[0])
 
 
-def _minus_last_power(a: Ordinal) -> tuple[tuple[tuple[Ordinal, int], ...], Ordinal]:
-    """Split nonzero a as (terms of rest, beta) with a = rest + w^beta, beta the last exponent."""
-    exp, coeff = a.terms[-1]
+def _minus_last_power(terms: _Terms) -> tuple[_Terms, Ordinal]:
+    """Split nonzero terms into (rest, beta): the ordinal is rest + w^beta, beta its last exponent."""
+    exp, coeff = terms[-1]
     if coeff > 1:
-        return a.terms[:-1] + ((exp, coeff - 1),), exp
-    return a.terms[:-1], exp
+        return terms[:-1] + ((exp, coeff - 1),), exp
+    return terms[:-1], exp
+
+
+def _check_n(n: int) -> None:
+    # As with Fuel, a bool or float is refused: False and 0.0 would otherwise
+    # pass for member 0.
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be an int >= 0")
+
+
+def _fs(terms: _Terms, n: int) -> _Terms:
+    """Terms of member n of the fundamental sequence of the limit with these terms."""
+    rest, beta = _minus_last_power(terms)
+    # Every exponent of rest is >= beta and the step's is below beta, so
+    # rest + step is the concatenation of their terms, and no deeper than the
+    # limit. Only the step's exponent is built as an Ordinal, one per level.
+    bt = beta.terms
+    if not bt[-1][0].terms:  # beta is a successor: w^(beta-1) * n
+        if not n:
+            return rest
+        return rest + ((Ordinal(_minus_last_power(bt)[0]), n),)
+    return rest + ((Ordinal(_fs(bt, n)), 1),)  # beta is a limit: w^(beta[n])
 
 
 def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
@@ -297,35 +349,29 @@ def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
     Convention: w[n] = n; (rest + w^(d+1))[n] = rest + w^d * n;
     (rest + w^b)[n] = rest + w^(b[n]) for limit b; a trailing coefficient
     c > 1 first peels one w^b into the rest. Increasing in n with supremum
-    lam, and lam[n] < lam for all n.
+    lam, and lam[n] < lam for all n. ``n`` must be an ``int``.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n)
     if classify(lam) is not Kind.LIMIT:
         raise NotALimitError(f"{lam!r} is not a limit ordinal")
-    rest, beta = _minus_last_power(lam)
-    # Every exponent of rest is >= beta and the step's is below beta, so
-    # rest + step is the concatenation of their terms, and no deeper than lam.
-    if classify(beta) is Kind.SUCCESSOR:
-        step = ((predecessor(beta), n),) if n else ()  # w^(beta-1) * n
-    else:
-        step = ((fundamental_sequence(beta, n), 1),)  # w^(beta[n])
-    return Ordinal(rest + step)
+    return Ordinal(_fs(lam.terms, n))
 
 
 def descend(a: Ordinal, picker: Callable[[Ordinal], int]) -> tuple[Ordinal, int]:
     """One strict descent step below a nonzero ``a``: (child, picked index).
 
     A successor steps to its predecessor without calling ``picker``, and the
-    index is -1; a limit steps to member picker(a) of its fundamental sequence.
+    index is -1; a limit steps to member picker(a) of its fundamental sequence,
+    and picker(a) must be an ``int`` >= 0.
     """
-    kind = classify(a)
-    if kind is Kind.SUCCESSOR:
-        return predecessor(a), -1
-    if kind is Kind.ZERO:
+    terms = a.terms
+    if not terms:
         raise ValueError("0 has no descent step")
+    if not terms[-1][0].terms:  # a successor
+        return Ordinal(_minus_last_power(terms)[0]), -1
     n = picker(a)
-    return fundamental_sequence(a, n), n
+    _check_n(n)
+    return Ordinal(_fs(terms, n)), n
 
 
 def descent_walk(
@@ -385,9 +431,13 @@ _NAT_RE = re.compile(r"\d+")
 
 
 class _OrdParser:
+    # Every method returns the terms of the value it parsed; ``parse`` builds
+    # the one Ordinal. ``nesting`` counts the groups (parentheses and
+    # exponents) open at ``pos``.
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0
 
     def fail(self, message: str, at: int | None = None) -> NoReturn:
         raise OrdinalParseError(self.pos if at is None else at, message)
@@ -397,50 +447,65 @@ class _OrdParser:
             self.pos += 1
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        # Canonical text has no blanks: one slice, and a loop only on a blank.
+        ch = self.text[self.pos : self.pos + 1]
+        if ch == " " or ch == "\t":
+            self.skip_ws()
+            ch = self.text[self.pos : self.pos + 1]
+        return ch
 
-    def sum_expr(self) -> Ordinal:
+    def open_group(self) -> None:
+        """Step over the '(' or '^' at ``pos``, which opens a group."""
+        if self.nesting == NESTING_LIMIT:
+            self.fail(_NESTING_MESSAGE)
+        self.nesting += 1
+        self.pos += 1
+
+    def sum_expr(self) -> _Terms:
         out = self.term()
         while self.peek() == "+":
             self.pos += 1
-            out = add(out, self.term())
+            out = _add_terms(out, self.term())
         return out
 
-    def term(self) -> Ordinal:
+    def term(self) -> _Terms:
         out = self.power()
         while self.peek() == "*":
             self.pos += 1
-            out = mul(out, self.power())
+            out = _mul_terms(out, self.power())
         return out
 
-    def power(self) -> Ordinal:
+    def power(self) -> _Terms:
         start = self.pos
         base_is_w = self.peek() == "w"
         base = self.atom()
         if self.peek() == "^":
-            self.pos += 1
             if not base_is_w:
                 self.fail("exponent base must be w", at=start)
-            return omega_pow(self.power())  # right-associative
+            self.open_group()
+            exp = Ordinal(self.power())  # right-associative
+            self.nesting -= 1
+            return _omega_pow_terms(exp)
         return base
 
-    def atom(self) -> Ordinal:
+    def atom(self) -> _Terms:
         ch = self.peek()
         if ch == "w":
             self.pos += 1
-            return OMEGA
+            return OMEGA.terms
         if ch == "(":
-            self.pos += 1
+            self.open_group()
             inner = self.sum_expr()
             if self.peek() != ")":
                 self.fail("')'")
             self.pos += 1
+            self.nesting -= 1
             return inner
         m = _NAT_RE.match(self.text, self.pos)
         if m:
             self.pos = m.end()
-            return from_int(int(m.group()))
+            n = int(m.group())
+            return ((ZERO, n),) if n else ()
         self.fail("ordinal atom (natural, 'w', or parenthesized expression)")
 
     def parse(self) -> Ordinal:
@@ -448,15 +513,18 @@ class _OrdParser:
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail("end of input")
-        return out
+        return Ordinal(out)
 
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse surface syntax into a normalized CNF ordinal.
 
     Arithmetic is applied during parsing, so non-canonical inputs normalize
-    (``1+w`` parses to ``w``). Raises :class:`OrdinalParseError` with the
-    offending position, or :class:`OrdinalOverflowError` past the depth limit.
+    (``1+w`` parses to ``w``); it works on terms, and only the result and the
+    exponents it holds are built as ordinals. Raises :class:`OrdinalParseError`
+    with the offending position, also at a group (parenthesis or exponent)
+    that would nest deeper than ``NESTING_LIMIT``, or
+    :class:`OrdinalOverflowError` past the depth limit.
     """
     return _OrdParser(text).parse()
 
@@ -536,7 +604,9 @@ def hydra_trajectory(h: HydraTree, max_steps: int = 10**6) -> list[Ordinal]:
 def parse_hydra(text: str) -> HydraTree:
     """Parse a parenthesis shape like ``((())())`` into a hydra.
 
-    The outer group is the root; each nested group is a child subtree.
+    The outer group is the root; each nested group is a child subtree. A
+    shape nested deeper than ``NESTING_LIMIT`` groups is refused with
+    :class:`OrdinalParseError` at the first '(' past the limit.
     """
     pos = 0
     n = len(text)
@@ -546,11 +616,14 @@ def parse_hydra(text: str) -> HydraTree:
         while pos < n and text[pos] in " \t":
             pos += 1
 
-    def node() -> HydraTree:
+    def node(level: int) -> HydraTree:
+        # ``level`` counts the groups open once this node's '(' is read.
         nonlocal pos
         skip_ws()
         if pos >= n or text[pos] != "(":
             raise OrdinalParseError(pos, "'('")
+        if level > NESTING_LIMIT:
+            raise OrdinalParseError(pos, _NESTING_MESSAGE)
         pos += 1
         children: list[HydraTree] = []
         while True:
@@ -560,9 +633,9 @@ def parse_hydra(text: str) -> HydraTree:
             if text[pos] == ")":
                 pos += 1
                 return HydraTree(tuple(children))
-            children.append(node())
+            children.append(node(level + 1))
 
-    root = node()
+    root = node(1)
     skip_ws()
     if pos != n:
         raise OrdinalParseError(pos, "end of input")

@@ -88,6 +88,19 @@ def test_exit_code_table(tmp_path, capsys):
     assert not own_cert.exists()
 
 
+@pytest.mark.parametrize("argv, offset", [
+    (["compare", "(" * 3000 + "1" + ")" * 3000, "1"], 128),
+    (["compare", "1", "w^" * 3000 + "1"], 257),
+    (["hydra", "(" * 3000 + ")" * 3000], 128),
+])
+def test_deep_ordinal_text_exits_1_at_the_nesting_limit(argv, offset, capsys):
+    # The parsers count their groups, so the message names the limit, not
+    # the interpreter's recursion depth.
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: offset {offset}: nesting deeper than the limit of 128\n")
+
+
 def test_usage_error_on_bad_flag_value(capsys):
     assert main(["run", "x.ion", "--max-steps", "0"]) == 2
     assert main(["run", "x.ion", "--max-steps", "ten"]) == 2

@@ -352,6 +352,60 @@ def test_event_json_roundtrip():
     assert event_from_json(d) == ev
 
 
+_GOOD_EVENT = {
+    "kind": "multiparent", "childId": 7, "parentIds": [2, 5],
+    "childIntelligence": "w^2+1", "seedUsed": 3, "eventIndex": 11,
+}
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("childId", 5.9, "an integer"),          # used to read as 5
+    ("childId", 7.0, "an integer"),
+    ("childId", True, "an integer"),
+    ("childId", "7", "an integer"),
+    ("parentIds", [True], "a list of integers"),  # used to read as (1,)
+    ("parentIds", [2, 5.0], "a list of integers"),
+    ("parentIds", "25", "a list of integers"),
+    ("parentIds", {"2": 5}, "a list of integers"),
+    ("seedUsed", "3", "an integer"),         # used to read as 3
+    ("seedUsed", None, "an integer"),
+    ("eventIndex", False, "an integer"),
+    ("childIntelligence", 5, "a string"),    # used to raise a bare TypeError
+    ("childIntelligence", ["w"], "a string"),
+    ("kind", 5, "one of 'founder', 'asexual', 'nondeterministic', 'multiparent', 'sterile'"),
+    ("kind", "Founder", "one of 'founder', 'asexual', 'nondeterministic', 'multiparent', 'sterile'"),
+])
+def test_event_from_json_refuses_wrong_json_types(field, value, what):
+    data = dict(_GOOD_EVENT, **{field: value})
+    with pytest.raises(ValueError) as info:
+        event_from_json(data)
+    assert str(info.value) == f"event field {field!r} must be {what}"
+
+
+@pytest.mark.parametrize("field", list(_GOOD_EVENT))
+def test_event_from_json_refuses_a_missing_field(field):
+    data = {k: v for k, v in _GOOD_EVENT.items() if k != field}
+    with pytest.raises(ValueError, match=f"^event field {field!r} must be "):
+        event_from_json(data)
+
+
+def test_event_from_json_refuses_a_non_object(tmp_path):
+    for data in ([1, 2], "x", 5, None):
+        with pytest.raises(ValueError, match="^event must be a JSON object$"):
+            event_from_json(data)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_GOOD_EVENT) + "\n" + json.dumps(dict(_GOOD_EVENT, childId=5.9)) + "\n")
+    with pytest.raises(ValueError, match="childId"):
+        read_event_log(path)
+
+
+def test_event_from_json_keeps_valid_values():
+    ev = event_from_json(dict(_GOOD_EVENT))
+    assert ev == LineageEvent(EventKind.MULTI_PARENT, 7, (2, 5), o("w^2+1"), 3, 11)
+    assert type(ev.child_id) is int and type(ev.parent_ids) is tuple
+    assert event_to_json(ev) == _GOOD_EVENT
+
+
 def test_event_log_file_roundtrip(tmp_path):
     cfg = LineageConfig(
         founder_intelligences=(o("w"),), policy=MixedEveryK(3), rng_seed=1, max_events=25
