@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
 
-from .objlang import Fuel, ObjLangError, evaluate, parse, serialize
+from .objlang import _MAX_VALUE_LEN, Fuel, ObjLangError, evaluate, parse, serialize
 from .ordinals import (
     OrdinalError,
     compare,
@@ -68,8 +68,9 @@ DEFAULT_MAX_OUTPUTS = 16
 DEFAULT_DEPTH = 8
 # Source size about doubles per unit of the finite tail or of the
 # w-coefficient (w*17 is 4.46 MB, w*30 36.5 GB), so a small ordinal can ask
-# for a source far beyond memory.
-MAX_SOURCE_BYTES = 64 * 2**20
+# for a source far beyond memory. The limit is the evaluator's string length
+# limit, so a run can hold every source that ion compile writes.
+MAX_SOURCE_BYTES = _MAX_VALUE_LEN
 
 
 def _positive_int(text: str) -> int:
@@ -228,52 +229,56 @@ def _cmd_hydra(args: argparse.Namespace) -> int:
 _JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
-def _config_field(data: dict, key: str, kind: type, default=None):
-    """``data[key]`` if it has JSON type ``kind``; ``default`` when absent or null."""
+def _config_field(data: dict, key: str, kind: type):
+    """``data[key]`` if it has JSON type ``kind``; None when absent or null."""
     value = data.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ValueError(f"config field {key!r} must be {_JSON_TYPES[kind]}")
     return value
 
 
+def _present(**fields) -> dict:
+    """The fields that are set, that is not None."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
 def _load_lineage_config(args: argparse.Namespace) -> LineageConfig | None:
-    # Every config field is checked, also one that a flag then overrides.
-    founders, policy, seed, max_events, rule = [], AsexualOnly(), 0, 100, MultiParentRule()
+    # Every config field is checked, also one that a flag then overrides. Only
+    # the fields a config or a flag sets are passed on, so the defaults are
+    # LineageConfig's and MultiParentRule's own.
+    founders, fields = [], {}
     if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        texts = _config_field(data, "founders", list, [])
+        texts = _config_field(data, "founders", list) or []
         if not all(isinstance(t, str) for t in texts):
             raise ValueError("config field 'founders' must be a list of strings")
         founders = [parse_ordinal(t) for t in texts]
-        text = _config_field(data, "policy", str)
-        if text is not None:
+        policy = _config_field(data, "policy", str)
+        if policy is not None:
             try:
-                policy = _policy(text)
+                policy = _policy(policy)
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"config field 'policy': {exc}") from None
-        seed = _config_field(data, "seed", int, seed)
-        max_events = _config_field(data, "maxEvents", int, max_events)
-        raw = _config_field(data, "multiParentRule", dict)
-        if raw is not None:
-            rule = MultiParentRule(
-                bonus=parse_ordinal(_config_field(raw, "bonus", str, "w")),
-                max_descent=_config_field(raw, "maxDescent", int, 4),
-            )
+        seed = _config_field(data, "seed", int)
+        max_events = _config_field(data, "maxEvents", int)
+        rule = _config_field(data, "multiParentRule", dict)
+        if rule is not None:
+            bonus = _config_field(rule, "bonus", str)
+            rule = MultiParentRule(**_present(
+                bonus=None if bonus is None else parse_ordinal(bonus),
+                max_descent=_config_field(rule, "maxDescent", int),
+            ))
+        fields = _present(
+            policy=policy, rng_seed=seed, max_events=max_events, multi_parent_rule=rule
+        )
     if args.founder:
         founders = [parse_ordinal(f) for f in args.founder]
     if not founders:
         return None
-    return LineageConfig(
-        founder_intelligences=tuple(founders),
-        policy=policy if args.policy is None else args.policy,
-        rng_seed=seed if args.seed is None else args.seed,
-        max_events=max_events if args.max_events is None else args.max_events,
-        multi_parent_rule=rule,
-    )
+    flags = _present(policy=args.policy, rng_seed=args.seed, max_events=args.max_events)
+    return LineageConfig(tuple(founders), **(fields | flags))
 
 
 def _cmd_lineage(args: argparse.Namespace) -> int:

@@ -27,6 +27,7 @@ from .ordinals import (
     OMEGA,
     ZERO,
     Ordinal,
+    _check_int,
     add,
     descend,
     format_ordinal,
@@ -116,8 +117,7 @@ class MultiParentRule:
     max_descent: int = 4
 
     def __post_init__(self) -> None:
-        if self.max_descent < 0:
-            raise ValueError("max_descent must be >= 0")
+        _check_int(self.max_descent, "max_descent", 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,8 +130,7 @@ class MixedEveryK:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_int(self.k, "k", 1)
 
 
 Policy = Union[AsexualOnly, MixedEveryK]
@@ -151,8 +150,7 @@ class LineageConfig:
         )
         if not self.founder_intelligences:
             raise ValueError("at least one founder is required")
-        if self.max_events < 1:
-            raise ValueError("max_events must be >= 1")
+        _check_int(self.max_events, "max_events", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +197,7 @@ def nondeterministic_create(
     intel = parent.intelligence
     if intel == ZERO:
         raise SterileAgentError(f"agent {parent.id} has intelligence 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_int(k, "k", 1)
     candidates = []
     for _ in range(k):
         # One draw per candidate even at a successor, where it goes unused:

@@ -73,6 +73,7 @@ from .ordinals import (
     ZERO,
     Kind,
     Ordinal,
+    _check_int,
     add,
     classify,
     format_ordinal,
@@ -622,13 +623,6 @@ def _explore(
     return proven, bound
 
 
-def _check_max_depth(max_depth: int) -> None:
-    # As with Fuel, a bool or float is refused: the walk stops at a level
-    # equal to max_depth, which 2.5 never is.
-    if type(max_depth) is not int or max_depth < 1:
-        raise ValueError("max_depth must be an int >= 1")
-
-
 def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
     """Fuel-bounded membership check, recursing through printed outputs.
 
@@ -640,7 +634,7 @@ def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
     child values. Everything else is Inconclusive: membership is not
     computably enumerable, so no fuel setting can decide it in general.
     """
-    _check_max_depth(max_depth)
+    _check_int(max_depth, "max_depth", 1)
     acct = _Acct()
     r = _explore(p, fuel, 1, (), max_depth, acct)
     if isinstance(r, Refuted):
@@ -660,7 +654,7 @@ def value_lower_bound(p: Program, fuel: Fuel, max_depth: int) -> tuple[Ordinal, 
     returned and the bound must be ignored. The tree is the one ``verify``
     walks, so a ProvenMember(v) verdict means (v, False) here.
     """
-    _check_max_depth(max_depth)
+    _check_int(max_depth, "max_depth", 1)
     r = _explore(p, fuel, 1, (), max_depth, _Acct())
     return (ZERO, True) if isinstance(r, Refuted) else (r[1], False)
 

@@ -701,8 +701,8 @@ def _to_str(v) -> str:
     return v.flat
 
 
-# The longest string value a run may build: the size of the largest source
-# the notation compiler writes (64 MiB).
+# The longest string value a run may build (64 MiB). ion compile refuses a
+# longer source, so a run can hold every source that it writes.
 _MAX_VALUE_LEN = 1 << 26
 
 

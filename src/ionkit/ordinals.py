@@ -322,11 +322,11 @@ def _minus_last_power(terms: _Terms) -> tuple[_Terms, Ordinal]:
     return terms[:-1], exp
 
 
-def _check_n(n: int) -> None:
+def _check_int(value: int, name: str, least: int) -> None:
     # As with Fuel, a bool or float is refused: False and 0.0 would otherwise
-    # pass for member 0.
-    if type(n) is not int or n < 0:
-        raise ValueError("n must be an int >= 0")
+    # pass for 0, and 2.5 for a count.
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int >= {least}")
 
 
 def _fs(terms: _Terms, n: int) -> _Terms:
@@ -351,7 +351,7 @@ def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
     c > 1 first peels one w^b into the rest. Increasing in n with supremum
     lam, and lam[n] < lam for all n. ``n`` must be an ``int``.
     """
-    _check_n(n)
+    _check_int(n, "n", 0)
     if classify(lam) is not Kind.LIMIT:
         raise NotALimitError(f"{lam!r} is not a limit ordinal")
     return Ordinal(_fs(lam.terms, n))
@@ -370,7 +370,7 @@ def descend(a: Ordinal, picker: Callable[[Ordinal], int]) -> tuple[Ordinal, int]
     if not terms[-1][0].terms:  # a successor
         return Ordinal(_minus_last_power(terms)[0]), -1
     n = picker(a)
-    _check_n(n)
+    _check_int(n, "n", 0)
     return Ordinal(_fs(terms, n)), n
 
 
@@ -564,8 +564,7 @@ def hydra_step(h: HydraTree, stage: int) -> HydraTree:
     parent (with the head removed) is replaced at the grandparent by ``stage``
     copies of itself. The hydra's ordinal value strictly decreases.
     """
-    if stage < 1:
-        raise ValueError("stage must be >= 1")
+    _check_int(stage, "stage", 1)
     if not h.children:
         raise DeadHydraError("bare root has no heads")
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from ionkit.cli import main
+from ionkit.lineage import LineageConfig, MixedEveryK, event_log_text, run_lineage
 from ionkit.notation import source_of
 from ionkit.ordinals import parse_ordinal
 from test_objlang import doubling_program
@@ -292,6 +293,20 @@ def test_lineage_flags_override_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"founders": ["w"], "policy": "asexual", "seed": 3}))
     assert main(["lineage", "--config", str(cfg), "--max-events", "5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 6  # capped before sterile
+
+
+@pytest.mark.parametrize("fields, kwargs", [
+    ({}, {}),
+    ({"policy": "mixed:2", "maxEvents": 30}, {"policy": MixedEveryK(2), "max_events": 30}),
+])
+def test_lineage_config_takes_the_library_defaults(fields, kwargs, tmp_path, capsys):
+    # Fields the config leaves out, here all of multiParentRule's, take the
+    # defaults of LineageConfig and MultiParentRule.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"founders": ["w^2", "3"], "multiParentRule": {}, **fields}))
+    assert main(["lineage", "--config", str(cfg)]) == 0
+    config = LineageConfig((parse_ordinal("w^2"), parse_ordinal("3")), **kwargs)
+    assert capsys.readouterr().out == event_log_text(run_lineage(config))
 
 
 def test_lineage_requires_founders(capsys):

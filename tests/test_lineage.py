@@ -302,6 +302,23 @@ def test_config_validation():
         MixedEveryK(0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: LineageConfig((o("w"),), max_events=2.5), "max_events must be an int >= 1"),
+    (lambda: LineageConfig((o("w"),), max_events=True), "max_events must be an int >= 1"),
+    (lambda: MultiParentRule(max_descent=2.5), "max_descent must be an int >= 0"),
+    (lambda: MultiParentRule(max_descent=False), "max_descent must be an int >= 0"),
+    (lambda: MixedEveryK(True), "k must be an int >= 1"),
+    (lambda: MixedEveryK(2.0), "k must be an int >= 1"),
+    (lambda: nondeterministic_create(agent("w"), 2.5, random.Random(0), 1),
+     "k must be an int >= 1"),
+], ids=["max_events-float", "max_events-bool", "max_descent-float", "max_descent-bool",
+        "k-bool", "k-float", "nondeterministic-k-float"])
+def test_counts_must_be_ints(make, message):
+    # A bool or float used to be accepted, or to fail later inside range or randrange.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # statistics and persistence
 # ---------------------------------------------------------------------------

@@ -341,6 +341,12 @@ def test_path_hydra_stage_two_duplication():
     assert hydra_to_ordinal(after) == from_int(2)
 
 
+@pytest.mark.parametrize("stage", [1.5, True, 0])
+def test_hydra_step_refuses_a_stage_that_is_not_an_int_of_at_least_1(stage):
+    with pytest.raises(ValueError, match=r"^stage must be an int >= 1$"):
+        hydra_step(parse_hydra("((()))"), stage)
+
+
 def test_hydra_trajectory_strictly_decreases_and_dies():
     values = hydra_trajectory(parse_hydra("(((())))"), max_steps=10**5)
     assert values[0] == o("w^w")
