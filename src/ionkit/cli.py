@@ -229,11 +229,14 @@ def _cmd_hydra(args: argparse.Namespace) -> int:
 _JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
-def _config_field(data: dict, key: str, kind: type):
-    """``data[key]`` if it has JSON type ``kind``; None when absent or null."""
+def _config_field(data: dict, key: str, kind: type, low: int | None = None):
+    """``data[key]`` if it has JSON type ``kind`` and, given ``low``, is at
+    least ``low``; None when absent or null."""
     value = data.get(key)
     if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ValueError(f"config field {key!r} must be {_JSON_TYPES[kind]}")
+    if value is not None and low is not None and value < low:
+        raise ValueError(f"config field {key!r} must be an int >= {low}")
     return value
 
 
@@ -262,13 +265,13 @@ def _load_lineage_config(args: argparse.Namespace) -> LineageConfig | None:
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"config field 'policy': {exc}") from None
         seed = _config_field(data, "seed", int)
-        max_events = _config_field(data, "maxEvents", int)
+        max_events = _config_field(data, "maxEvents", int, low=1)
         rule = _config_field(data, "multiParentRule", dict)
         if rule is not None:
             bonus = _config_field(rule, "bonus", str)
             rule = MultiParentRule(**_present(
                 bonus=None if bonus is None else parse_ordinal(bonus),
-                max_descent=_config_field(rule, "maxDescent", int),
+                max_descent=_config_field(rule, "maxDescent", int, low=0),
             ))
         fields = _present(
             policy=policy, rng_seed=seed, max_events=max_events, multi_parent_rule=rule

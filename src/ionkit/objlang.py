@@ -362,16 +362,26 @@ def serialize(p: Program) -> str:
 # ---------------------------------------------------------------------------
 
 _SKELETON_STMTS: dict[str, tuple[Statement, ...]] = {}
-# ids -> (names assigned before the skeleton, its closures, its statements)
+# ids -> (names assigned before the skeleton, (its generated function,), its statements)
 _SKELETON_FNS: dict[tuple[int, ...], tuple[frozenset[str], tuple, tuple[Statement, ...]]] = {}
 
 
 def _register_skeleton(stmts: tuple[Statement, ...], names_before: set[str]) -> str:
-    """Register ``stmts``, closed once ``names_before`` are assigned; its text."""
+    """Register ``stmts``, closed once ``names_before`` are assigned; its text.
+
+    The skeleton is checked for closedness (an open one fails the import) and
+    compiled once, here, to one generated Python function that runs all its
+    statements (see _skeleton_source). Every other program runs as a tree of
+    closures; both paths give the same outputs, status, errors and step count.
+    """
     text = serialize(Program(stmts))
-    fns, _ = _compile_block(stmts, names_before)
+    _compile_block(stmts, names_before)
     _SKELETON_STMTS[text] = stmts
-    _SKELETON_FNS[tuple(map(id, stmts))] = (frozenset(names_before), fns, stmts)
+    _SKELETON_FNS[tuple(map(id, stmts))] = (
+        frozenset(names_before),
+        (_skeleton_function(stmts, names_before),),
+        stmts,
+    )
     return text
 
 
@@ -720,6 +730,46 @@ def _concat_val(l, r):
     return _Cat(l, r, ll + rl)
 
 
+# The three other primitives on values, used by the closures and by the
+# generated skeleton functions alike.
+
+def _head(v) -> str:
+    """``Head``: the first character of ``v``."""
+    if type(v) is str:
+        if not v:
+            raise EvalError("Head of empty string")
+        return v[0]
+    if type(v) is _View:
+        if v.start >= len(v.base):
+            raise EvalError("Head of empty string")
+        return v.base[v.start]
+    # Both halves of a _Cat are nonempty, so its head is its left half's: a
+    # rope that shares its halves is not flattened for one character.
+    while type(v) is _Cat:
+        v = v.left if v.flat is None else v.flat
+    return _head(v)
+
+
+def _tail(v):
+    """``Tail``: ``v`` without its first character."""
+    if type(v) is str:
+        if not v:
+            raise EvalError("Tail of empty string")
+        return _View(v, 1)
+    if type(v) is _View:
+        if v.start >= len(v.base):
+            raise EvalError("Tail of empty string")
+        return _View(v.base, v.start + 1)
+    return _View(_to_str(v), 1)
+
+
+def _eq(lv, rv) -> bool:
+    """``Equals``: whether ``lv`` and ``rv`` hold the same text."""
+    if type(lv) is str and type(rv) is str:
+        return lv == rv
+    return _vlen(lv) == _vlen(rv) and _to_str(lv) == _to_str(rv)
+
+
 class _Run:
     __slots__ = ("env", "outputs", "steps", "max_steps", "max_outputs")
 
@@ -738,9 +788,9 @@ class _Run:
 # driver's paren, unary and comma scans. Each of them is one closure that
 # does its work with str operations and is charged the exact step cost of
 # its passes (see _match_fused_loop).
-# The closures of the two registered skeletons are built once, when they are
-# registered, and reused by every program that ends in one (see
-# _compile_program).
+# The two registered skeletons run as generated functions instead, built
+# once, when they are registered, and reused by every program that ends in
+# one (see _skeleton_source and _compile_program).
 
 def _compile_expr(e: Expr, reads: set[str]) -> Callable[[_Run], object]:
     match e:
@@ -762,30 +812,12 @@ def _compile_expr(e: Expr, reads: set[str]) -> Callable[[_Run], object]:
         case Head(arg=a):
             af = _compile_expr(a, reads)
             def head(run: _Run):
-                v = af(run)
-                if type(v) is str:
-                    if not v:
-                        raise EvalError("Head of empty string")
-                    return v[0]
-                if type(v) is _View:
-                    if v.start >= len(v.base):
-                        raise EvalError("Head of empty string")
-                    return v.base[v.start]
-                return _to_str(v)[0]  # _Cat is never empty
+                return _head(af(run))
             return head
         case Tail(arg=a):
             af = _compile_expr(a, reads)
             def tail(run: _Run):
-                v = af(run)
-                if type(v) is str:
-                    if not v:
-                        raise EvalError("Tail of empty string")
-                    return _View(v, 1)
-                if type(v) is _View:
-                    if v.start >= len(v.base):
-                        raise EvalError("Tail of empty string")
-                    return _View(v.base, v.start + 1)
-                return _View(_to_str(v), 1)
+                return _tail(af(run))
             return tail
         case _:
             raise TypeError(f"not an Expr: {e!r}")
@@ -798,10 +830,7 @@ def _compile_cond(c: Cond, reads: set[str]) -> Callable[[_Run], bool]:
         case Equals(left=l, right=r):
             lf, rf = _compile_expr(l, reads), _compile_expr(r, reads)
             def eq(run: _Run) -> bool:
-                lv, rv = lf(run), rf(run)
-                if _vlen(lv) != _vlen(rv):
-                    return False
-                return _to_str(lv) == _to_str(rv)
+                return _eq(lf(run), rf(run))
             return eq
         case Not(inner=i):
             inf = _compile_cond(i, reads)
@@ -1067,8 +1096,9 @@ def _compile_program(stmts: tuple[Statement, ...]) -> tuple:
 
     When the statements after the first are a registered skeleton's very
     objects, and the first assigns every name the skeleton was registered
-    with, the skeleton's closures are reused: a closure depends only on its
-    statement, and a block closed under some names is closed under more.
+    with, the skeleton's generated function stands for them: it depends
+    only on the statements, and a block closed under some names is closed
+    under more.
     """
     current: set[str] = set()
     fns = tuple(_compile_stmt(s, current) for s in stmts[:1])
@@ -1140,6 +1170,124 @@ def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
             raise TypeError(f"not a Statement: {s!r}")
 
 
+# A registered skeleton runs as one generated Python function rather than a
+# closure per statement: the driver runs hundreds of statements per output,
+# and calling a closure for each one was most of the evaluator's time. The
+# function does what the closures do, in the same order, through the same
+# helpers (_head, _tail, _concat_val, _eq, _to_str and the fused loops'
+# closures). It keeps the step count in a local and writes it back to
+# run.steps before every _FuelStop, before each fused loop and at the end.
+# Only the notation's two fixed skeletons are generated, at import; literal
+# values are bound by name, and names are identifiers emitted with repr().
+
+def _skeleton_source(
+    stmts: tuple[Statement, ...], names_before: set[str]
+) -> tuple[str, dict[str, object]]:
+    """The source of a factory for the function that runs ``stmts``, and its arguments.
+
+    ``stmts`` must be closed once ``names_before`` are assigned. The factory,
+    ``_make(**consts)``, returns ``run_skeleton(run)``.
+    """
+    consts: dict[str, object] = {}
+    lines: list[str] = []
+
+    def const(value) -> str:
+        name = f"_k{len(consts)}"
+        consts[name] = value
+        return name
+
+    def expr(e: Expr) -> str:
+        match e:
+            case Literal(text=t):
+                return const(t)
+            case Var(name=n):
+                return f"env[{n!r}]"
+            case Concat(parts=ps):
+                code = expr(ps[0])
+                for x in ps[1:]:
+                    code = f"_concat_val({code}, {expr(x)})"
+                return code
+            case Head(arg=a):
+                return f"_head({expr(a)})"
+            case Tail(arg=a):
+                return f"_tail({expr(a)})"
+        raise TypeError(f"not an Expr: {e!r}")
+
+    def cond(c: Cond) -> str:
+        match c:
+            case TrueCond():
+                return "True"
+            case Equals(left=l, right=r):
+                return f"_eq({expr(l)}, {expr(r)})"
+            case Not(inner=i):
+                return f"not {cond(i)}"
+        raise TypeError(f"not a Cond: {c!r}")
+
+    def step(pad: str, also: str = "") -> None:
+        lines.append(f"{pad}if {also}steps >= ms:")
+        lines.append(f"{pad}    run.steps = steps")
+        lines.append(f"{pad}    raise _FuelStop")
+        lines.append(f"{pad}steps += 1")
+
+    def block(body: tuple[Statement, ...], current: set[str], pad: str) -> None:
+        if not body:
+            lines.append(f"{pad}pass")
+        for s in body:
+            match s:
+                case Print(expr=e):
+                    # a blocked Print stops the run without charging a step
+                    step(pad, also="len(outputs) >= mo or ")
+                    lines.append(f"{pad}outputs.append(_to_str({expr(e)}))")
+                case Assign(name=n, expr=e):
+                    step(pad)
+                    lines.append(f"{pad}env[{n!r}] = {expr(e)}")
+                    current.add(n)
+                case While() if _match_fused_loop(s) is not None:
+                    lines.append(f"{pad}run.steps = steps")
+                    lines.append(f"{pad}{const(_compile_stmt(s, current))}(run)")
+                    lines.append(f"{pad}steps = run.steps")
+                case While(cond=c, body=b):
+                    lines.append(f"{pad}while True:")
+                    step(pad + "    ")
+                    if c != TrueCond():
+                        lines.append(f"{pad}    if not ({cond(c)}):")
+                        lines.append(f"{pad}        break")
+                    block(b, set(current), pad + "    ")
+                case IfElse(cond=c, then_body=t, else_body=e):
+                    step(pad)
+                    after_then, after_else = set(current), set(current)
+                    lines.append(f"{pad}if {cond(c)}:")
+                    block(t, after_then, pad + "    ")
+                    lines.append(f"{pad}else:")
+                    block(e, after_else, pad + "    ")
+                    current |= after_then & after_else
+                case _:
+                    raise TypeError(f"not a Statement: {s!r}")
+
+    block(stmts, set(names_before), " " * 8)
+    head = [
+        f"def _make({', '.join(consts)}):",
+        "    def run_skeleton(run):",
+        "        env = run.env",
+        "        outputs = run.outputs",
+        "        ms = run.max_steps",
+        "        mo = run.max_outputs",
+        "        steps = run.steps",
+    ]
+    tail = ["        run.steps = steps", "    return run_skeleton", ""]
+    return "\n".join(head + lines + tail), consts
+
+
+def _skeleton_function(stmts: tuple[Statement, ...], names_before: set[str]) -> Callable[[_Run], None]:
+    """The generated function that runs ``stmts`` (see _skeleton_source)."""
+    source, consts = _skeleton_source(stmts, names_before)
+    factory: dict[str, Callable] = {}
+    # The function's globals are this module's, so it reads the helpers (and
+    # _MAX_VALUE_LEN, through _concat_val) as the closures do.
+    exec(compile(source, "<ionkit skeleton>", "exec"), globals(), factory)
+    return factory["_make"](**consts)
+
+
 def evaluate(p: Program, fuel: Fuel) -> Trace:
     """Run ``p`` under ``fuel``; deterministic, total, and reproducible.
 
@@ -1151,12 +1299,17 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
     under any distinct variable names. Raises
     :class:`EvalError` for Head/Tail of the empty string, and
     :class:`OpenProgramError` if the program is not closed: closedness is
-    checked while the closures are built, before any step runs. A program
-    whose statements after the first are a registered skeleton (the
-    notation's A0 loop or driver tail, the very objects) runs the closures
-    built when the skeleton was registered, if its first statement assigns
-    the names the skeleton needs. Raises :class:`LengthLimitError` when a
-    string value would grow past the length limit.
+    checked while the closures are built, before any step runs. Raises
+    :class:`LengthLimitError` when a string value would grow past the
+    length limit.
+
+    A program whose statements after the first are a registered skeleton
+    (the notation's A0 loop or driver tail, the very objects), and whose
+    first statement assigns the names the skeleton needs, runs that first
+    statement as a closure and the skeleton as the one Python function
+    generated for it at import. Every other program runs as a tree of
+    closures built for this call. Neither path changes outputs, status,
+    errors or ``steps_used``.
     """
     top = _compile_program(p.statements)
     run = _Run(fuel)

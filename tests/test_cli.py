@@ -288,6 +288,18 @@ def test_lineage_config_file(tmp_path, capsys):
     assert json.loads(lines[0])["kind"] == "founder"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"founders":["w"],"maxEvents":0}', "config field 'maxEvents' must be an int >= 1"),
+    ('{"founders":["w"],"multiParentRule":{"maxDescent":-1}}',
+     "config field 'maxDescent' must be an int >= 0"),
+])
+def test_lineage_config_range_errors_name_the_key(text, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["lineage", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_lineage_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"founders": ["w"], "policy": "asexual", "seed": 3}))

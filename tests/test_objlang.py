@@ -387,6 +387,25 @@ def test_doubling_stops_at_the_length_limit():
     assert str(exc.value) == "string value of 134217728 characters is over the limit of 67108864"
 
 
+def test_head_of_a_shared_rope_walks_its_left_spine():
+    # 'ab' doubled 24 times shares each half with itself: 2**25 characters
+    # in 25 nodes. Head reads the first one without flattening any node.
+    v = "ab"
+    for _ in range(24):
+        v = objlang._concat_val(v, v)
+    assert objlang._vlen(v) == 1 << 25
+    assert objlang._head(v) == "a"
+    node = v
+    while type(node) is objlang._Cat:
+        assert node.flat is None and node.left is node.right
+        node = node.left
+    start = time.perf_counter()
+    assert evaluate(parse(doubling_program(24)), Fuel(10**6, 1)) == Trace(
+        ("a",), TraceStatus.HALTED, 76
+    )
+    assert time.perf_counter() - start < 1
+
+
 def test_fused_escape_loop_growth_is_limited(monkeypatch):
     # D would become 123456ab\'c, 11 characters, in one fused pass
     p = Program((Assign("W", Literal("ab'c")), Assign("D", Literal("123456")),

@@ -169,8 +169,9 @@ def test_driver_without_its_data_is_open_with_warm_caches():
             assert str(warm.value) == str(cold.value) == message
 
 
-def _skeleton_closures(stmts):
-    return objlang._SKELETON_FNS[tuple(map(id, stmts))][1]
+def _skeleton_function(stmts):
+    (fn,) = objlang._SKELETON_FNS[tuple(map(id, stmts))][1]
+    return fn
 
 
 def test_a_first_statement_assigning_more_names_reuses_the_closures():
@@ -183,8 +184,7 @@ def test_a_first_statement_assigning_more_names_reuses_the_closures():
     )
     p = Program((first,) + _DRIVER_TAIL)
     fns = objlang._compile_program(p.statements)
-    assert all(map(operator.is_, fns[1:], _skeleton_closures(_DRIVER_TAIL)))
-    assert len(fns) == len(p.statements)
+    assert len(fns) == 2 and fns[1] is _skeleton_function(_DRIVER_TAIL)
     driver = compile_ordinal(parse_ordinal("w^w"))
     warm = evaluate(p, Fuel(5000, 3))
     with empty_skeleton_tables():
@@ -194,7 +194,7 @@ def test_a_first_statement_assigning_more_names_reuses_the_closures():
     for text, skeleton in (("w^w", _DRIVER_TAIL), ("w*2", (_A0_WHILE,))):
         q = parse(source_of(parse_ordinal(text)))
         fns = objlang._compile_program(q.statements)
-        assert all(map(operator.is_, fns[1:], _skeleton_closures(skeleton)))
+        assert len(fns) == 2 and fns[1] is _skeleton_function(skeleton)
 
 
 # ---------------------------------------------------------------------------
