@@ -73,6 +73,8 @@ from .ordinals import (
     ZERO,
     Kind,
     Ordinal,
+    OrdinalError,
+    _OrdParser,
     _check_int,
     add,
     classify,
@@ -122,26 +124,30 @@ def _encode(a: Ordinal) -> str:
 
 
 def _decode(s: str) -> Ordinal:
-    """Inverse of :func:`_encode`; raises ValueError on malformed input."""
+    """Inverse of :func:`_encode`, read with no blanks on the ordinal parser;
+    raises OrdinalParseError on malformed input or past ``NESTING_LIMIT``."""
+    p = _OrdParser(s)
 
-    def terms(pos: int) -> tuple[Ordinal, int]:
-        # Terms from pos up to an unmatched ")" or the end, and where they stop.
+    def terms() -> Ordinal:
+        # Terms from p.pos up to an unmatched ")" or the end.
         small_first: list[tuple[Ordinal, int]] = []
-        while s.startswith("(", pos):
-            exp, pos = terms(pos + 1)
-            run = _I_RUN.match(s, pos)
+        while s.startswith("(", p.pos):
+            p.open_group()
+            exp = terms()
+            run = _I_RUN.match(s, p.pos)
             if run is None:
-                raise ValueError(f"expected ')' and a coefficient at {pos}")
-            small_first.append((exp, run.end() - pos - 1))
-            pos = run.end()
+                p.fail("')' and a coefficient")
+            p.nesting -= 1
+            small_first.append((exp, run.end() - p.pos - 1))
+            p.pos = run.end()
         try:
-            return Ordinal(tuple(reversed(small_first))), pos
+            return Ordinal(tuple(reversed(small_first)))
         except ValueError as exc:
-            raise ValueError(f"not a canonical encoding: {exc}") from exc
+            p.fail(f"not a canonical encoding: {exc}")
 
-    a, end = terms(0)
-    if end != len(s):
-        raise ValueError(f"expected '(' at {end}")
+    a = terms()
+    if p.pos != len(s):
+        p.fail("'('")
     return a
 
 
@@ -419,20 +425,26 @@ def source_of(a: Ordinal) -> str:
     return f"C='{_encode(a)}';{_DRIVER_TAIL_TEXT}"
 
 
-# A source is End or a driver, wrapped first in the A0 skeleton once per
-# w-coefficient and then in Print('...') once per finite-tail unit. A wrap
-# escapes what it holds, so its text adds one byte per quote and backslash
-# inside, and its quotes and backslashes follow from those counts alone.
+# A source is End or a driver frame around an encoding (no quote or backslash),
+# wrapped in the A0 skeleton once per w-coefficient, then in Print('...') once
+# per finite-tail unit. A wrap escapes what it holds, so its text adds one byte
+# per quote and backslash inside, and its quotes and backslashes follow.
 _PRINT_FRAME = serialize(Program((Print(Literal("")),)))
 _A0_FRAME = serialize(_a0_program(""))
+_DRIVER_FRAME = f"C='';{_DRIVER_TAIL_TEXT}"
 
 
 def _counts(text: str) -> tuple[int, int, int]:
     return len(text), text.count("'"), text.count("\\")
 
 
+def _encoded_len(a: Ordinal) -> int:
+    """``len(_encode(a))``."""
+    return sum(2 + _encoded_len(e) + c for e, c in a.terms)
+
+
 def source_size(a: Ordinal, limit: int | None = None) -> int:
-    """``len(source_of(a))`` from the recurrence above, without building the text.
+    """``len(source_of(a))`` from the recurrence above, without building any text.
 
     Sources never hold a raw newline, so quotes and backslashes are the only
     characters a wrap escapes. With ``limit``, counting stops as soon as the
@@ -441,7 +453,8 @@ def source_size(a: Ordinal, limit: int | None = None) -> int:
     """
     coeff = dict(a.terms)
     core = Ordinal(tuple(t for t in a.terms if t[0] > ONE))
-    n, q, b = _counts(source_of(core))
+    n, q, b = _counts(_DRIVER_FRAME if core.terms else "End")
+    n += _encoded_len(core)
     wraps = [(_counts(_A0_FRAME), coeff.get(ONE, 0)), (_counts(_PRINT_FRAME), coeff.get(ZERO, 0))]
     for (fn, fq, fb), times in wraps:
         for _ in range(times):
@@ -493,7 +506,7 @@ def decompile(p: Program) -> Ordinal | None:
         case (Assign(name="C", expr=Literal(text=enc)), *_) if ss[1:] == _DRIVER_TAIL:
             try:
                 a = _decode(enc)
-            except ValueError:
+            except OrdinalError:  # malformed, or nested past NESTING_LIMIT
                 return None
             if not a.terms or a.terms[-1][0] <= ONE:
                 return None

@@ -379,7 +379,7 @@ def _register_skeleton(stmts: tuple[Statement, ...], names_before: set[str]) -> 
     _SKELETON_STMTS[text] = stmts
     _SKELETON_FNS[tuple(map(id, stmts))] = (
         frozenset(names_before),
-        (_skeleton_function(stmts, names_before),),
+        (_skeleton_function(stmts),),
         stmts,
     )
     return text
@@ -1180,12 +1180,10 @@ def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
 # Only the notation's two fixed skeletons are generated, at import; literal
 # values are bound by name, and names are identifiers emitted with repr().
 
-def _skeleton_source(
-    stmts: tuple[Statement, ...], names_before: set[str]
-) -> tuple[str, dict[str, object]]:
+def _skeleton_source(stmts: tuple[Statement, ...]) -> tuple[str, dict[str, object]]:
     """The source of a factory for the function that runs ``stmts``, and its arguments.
 
-    ``stmts`` must be closed once ``names_before`` are assigned. The factory,
+    ``stmts`` must be closed (``_register_skeleton`` checks it). The factory,
     ``_make(**consts)``, returns ``run_skeleton(run)``.
     """
     consts: dict[str, object] = {}
@@ -1229,7 +1227,7 @@ def _skeleton_source(
         lines.append(f"{pad}    raise _FuelStop")
         lines.append(f"{pad}steps += 1")
 
-    def block(body: tuple[Statement, ...], current: set[str], pad: str) -> None:
+    def block(body: tuple[Statement, ...], pad: str) -> None:
         if not body:
             lines.append(f"{pad}pass")
         for s in body:
@@ -1241,10 +1239,10 @@ def _skeleton_source(
                 case Assign(name=n, expr=e):
                     step(pad)
                     lines.append(f"{pad}env[{n!r}] = {expr(e)}")
-                    current.add(n)
-                case While() if _match_fused_loop(s) is not None:
+                case While() if (fused := _match_fused_loop(s)) is not None:
+                    # the loop reads only the names it was built from
                     lines.append(f"{pad}run.steps = steps")
-                    lines.append(f"{pad}{const(_compile_stmt(s, current))}(run)")
+                    lines.append(f"{pad}{const(_compile_stmt(s, set(fused[1])))}(run)")
                     lines.append(f"{pad}steps = run.steps")
                 case While(cond=c, body=b):
                     lines.append(f"{pad}while True:")
@@ -1252,19 +1250,17 @@ def _skeleton_source(
                     if c != TrueCond():
                         lines.append(f"{pad}    if not ({cond(c)}):")
                         lines.append(f"{pad}        break")
-                    block(b, set(current), pad + "    ")
+                    block(b, pad + "    ")
                 case IfElse(cond=c, then_body=t, else_body=e):
                     step(pad)
-                    after_then, after_else = set(current), set(current)
                     lines.append(f"{pad}if {cond(c)}:")
-                    block(t, after_then, pad + "    ")
+                    block(t, pad + "    ")
                     lines.append(f"{pad}else:")
-                    block(e, after_else, pad + "    ")
-                    current |= after_then & after_else
+                    block(e, pad + "    ")
                 case _:
                     raise TypeError(f"not a Statement: {s!r}")
 
-    block(stmts, set(names_before), " " * 8)
+    block(stmts, " " * 8)
     head = [
         f"def _make({', '.join(consts)}):",
         "    def run_skeleton(run):",
@@ -1278,9 +1274,9 @@ def _skeleton_source(
     return "\n".join(head + lines + tail), consts
 
 
-def _skeleton_function(stmts: tuple[Statement, ...], names_before: set[str]) -> Callable[[_Run], None]:
+def _skeleton_function(stmts: tuple[Statement, ...]) -> Callable[[_Run], None]:
     """The generated function that runs ``stmts`` (see _skeleton_source)."""
-    source, consts = _skeleton_source(stmts, names_before)
+    source, consts = _skeleton_source(stmts)
     factory: dict[str, Callable] = {}
     # The function's globals are this module's, so it reads the helpers (and
     # _MAX_VALUE_LEN, through _concat_val) as the closures do.

@@ -20,7 +20,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, NoReturn
+from typing import Callable, Iterable, NoReturn, TypeVar
 
 __all__ = [
     "Ordinal",
@@ -84,10 +84,11 @@ class MaxLenExceededError(OrdinalError):
 
 
 DEPTH_LIMIT = 64
-# Deepest nesting the two parsers accept: groups (parentheses and exponents)
-# in ordinal text, levels in a hydra shape. Twice DEPTH_LIMIT, so the canonical
-# text of every ordinal within the depth limit parses; at four frames per
-# parenthesis the parsers stay far inside the default recursion limit.
+# Deepest nesting the ordinal-side reader (_OrdParser) accepts: groups
+# (parentheses and exponents) in ordinal text, levels in a hydra shape, groups
+# in the driver's encoding. Twice DEPTH_LIMIT, so the text of every ordinal
+# within the depth limit reads back; at four frames per parenthesis the reader
+# stays far inside the default recursion limit.
 NESTING_LIMIT = 128
 _NESTING_MESSAGE = f"nesting deeper than the limit of {NESTING_LIMIT}"
 
@@ -428,12 +429,15 @@ def format_ordinal(a: Ordinal) -> str:
 
 
 _NAT_RE = re.compile(r"\d+")
+_T = TypeVar("_T")
 
 
 class _OrdParser:
-    # Every method returns the terms of the value it parsed; ``parse`` builds
-    # the one Ordinal. ``nesting`` counts the groups (parentheses and
-    # exponents) open at ``pos``.
+    # The one reader of ordinal-side text: ordinal syntax (``sum_expr`` and the
+    # productions below it return the terms of the value they parsed), hydra
+    # shapes (``hydra``) and the notation driver's encoding (notation._decode).
+    # ``nesting`` counts the groups open at ``pos``; ``open_group`` is the one
+    # place it is checked against NESTING_LIMIT.
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -508,12 +512,27 @@ class _OrdParser:
             return ((ZERO, n),) if n else ()
         self.fail("ordinal atom (natural, 'w', or parenthesized expression)")
 
-    def parse(self) -> Ordinal:
-        out = self.sum_expr()
+    def hydra(self) -> HydraTree:
+        # One node: its '(', its children, its ')'.
+        if self.peek() != "(":
+            self.fail("'('")
+        self.open_group()
+        children: list[HydraTree] = []
+        while (ch := self.peek()) != ")":
+            if not ch:
+                self.fail("')'")
+            children.append(self.hydra())
+        self.pos += 1
+        self.nesting -= 1
+        return HydraTree(tuple(children))
+
+    def parse(self, production: Callable[[_OrdParser], _T]) -> _T:
+        """Run ``production`` over the whole text."""
+        out = production(self)
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail("end of input")
-        return Ordinal(out)
+        return out
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -526,7 +545,7 @@ def parse_ordinal(text: str) -> Ordinal:
     that would nest deeper than ``NESTING_LIMIT``, or
     :class:`OrdinalOverflowError` past the depth limit.
     """
-    return _OrdParser(text).parse()
+    return Ordinal(_OrdParser(text).parse(_OrdParser.sum_expr))
 
 
 # ---------------------------------------------------------------------------
@@ -607,35 +626,4 @@ def parse_hydra(text: str) -> HydraTree:
     shape nested deeper than ``NESTING_LIMIT`` groups is refused with
     :class:`OrdinalParseError` at the first '(' past the limit.
     """
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos] in " \t":
-            pos += 1
-
-    def node(level: int) -> HydraTree:
-        # ``level`` counts the groups open once this node's '(' is read.
-        nonlocal pos
-        skip_ws()
-        if pos >= n or text[pos] != "(":
-            raise OrdinalParseError(pos, "'('")
-        if level > NESTING_LIMIT:
-            raise OrdinalParseError(pos, _NESTING_MESSAGE)
-        pos += 1
-        children: list[HydraTree] = []
-        while True:
-            skip_ws()
-            if pos >= n:
-                raise OrdinalParseError(pos, "')'")
-            if text[pos] == ")":
-                pos += 1
-                return HydraTree(tuple(children))
-            children.append(node(level + 1))
-
-    root = node(1)
-    skip_ws()
-    if pos != n:
-        raise OrdinalParseError(pos, "end of input")
-    return root
+    return _OrdParser(text).parse(_OrdParser.hydra)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 
 import hypothesis as hyp
 import pytest
@@ -35,6 +36,7 @@ from ionkit.notation import (
     verify,
 )
 from ionkit.ordinals import (
+    NESTING_LIMIT,
     OMEGA,
     ONE,
     ZERO,
@@ -164,6 +166,18 @@ def test_source_size_goldens():
     assert source_size(o("w*30"), 2**26) == source_size(o("w*21")) == 71306413
 
 
+def test_source_size_builds_no_text():
+    a = o("w^2*1000000000")  # its source would be about 1 GB
+    tracemalloc.start()
+    try:
+        size = source_size(a, 2**26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 1000005002
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # decompile
 # ---------------------------------------------------------------------------
@@ -223,6 +237,18 @@ def _reference_decode(s):
         return Ordinal(tuple(reversed(terms_small_first)))
     except ValueError as exc:
         raise ValueError(f"not a canonical encoding: {exc}") from exc
+
+
+@pytest.mark.parametrize("groups", [NESTING_LIMIT, NESTING_LIMIT + 1, 3000])
+def test_decompile_stops_at_the_nesting_limit(groups):
+    # A tower of ``groups`` omegas; past NESTING_LIMIT it is refused, not
+    # read until the interpreter's recursion limit.
+    enc = "(" * groups + ")I" * groups
+    p = parse(f"C='{enc}';{notation._DRIVER_TAIL_TEXT}")
+    if groups <= NESTING_LIMIT:
+        assert decompile(p) is _reference_decode(enc)
+    else:
+        assert decompile(p) is None
 
 
 def _reference_candidate(p):

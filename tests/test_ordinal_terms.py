@@ -3,6 +3,8 @@ only for a result and the exponents it holds. Each path is checked against
 the plain composition of public operations it replaces, and every error the
 parser raises is pinned."""
 
+import random
+
 import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from ionkit.ordinals import (
     OMEGA,
     ONE,
     ZERO,
+    HydraTree,
     Kind,
     NotALimitError,
     Ordinal,
@@ -32,6 +35,7 @@ from ionkit.ordinals import (
     parse_ordinal,
     predecessor,
 )
+from ionkit.ordinals import _NESTING_MESSAGE
 from test_ordinals import _reference_fundamental_sequence, ordinal_exprs
 
 W = OMEGA
@@ -331,6 +335,79 @@ def test_hydra_nesting_up_to_the_limit_parses():
     for _ in range(NESTING_LIMIT - 1):
         (h,) = h.children
     assert h.children == ()
+
+
+# The earlier hydra reader, a closure of its own, kept verbatim as the reference.
+def _reference_parse_hydra(text: str) -> HydraTree:
+    pos = 0
+    n = len(text)
+
+    def skip_ws() -> None:
+        nonlocal pos
+        while pos < n and text[pos] in " \t":
+            pos += 1
+
+    def node(level: int) -> HydraTree:
+        # ``level`` counts the groups open once this node's '(' is read.
+        nonlocal pos
+        skip_ws()
+        if pos >= n or text[pos] != "(":
+            raise OrdinalParseError(pos, "'('")
+        if level > NESTING_LIMIT:
+            raise OrdinalParseError(pos, _NESTING_MESSAGE)
+        pos += 1
+        children: list[HydraTree] = []
+        while True:
+            skip_ws()
+            if pos >= n:
+                raise OrdinalParseError(pos, "')'")
+            if text[pos] == ")":
+                pos += 1
+                return HydraTree(tuple(children))
+            children.append(node(level + 1))
+
+    root = node(1)
+    skip_ws()
+    if pos != n:
+        raise OrdinalParseError(pos, "end of input")
+    return root
+
+
+def _hydra_shapes(nodes):
+    """Every shape of a hydra with exactly ``nodes`` nodes, root included."""
+    def forests(m):
+        if m == 0:
+            return [""]
+        return [f + r for k in range(1, m + 1) for f in _hydra_shapes(k) for r in forests(m - k)]
+    return ["(" + f + ")" for f in forests(nodes - 1)]
+
+
+def _hydra_texts():
+    """Each shape of at most 7 nodes; with blanks at a seeded position; cut
+    short at every offset; and with one extra character at a seeded position."""
+    rng = random.Random(20260825)
+    for nodes in range(1, 8):
+        for shape in _hydra_shapes(nodes):
+            yield shape
+            i = rng.randrange(len(shape) + 1)
+            yield shape[:i] + rng.choice([" ", "\t", " \t "]) + shape[i:]
+            yield from (shape[:i] for i in range(len(shape)))
+            for ch in "()x":
+                i = rng.randrange(len(shape) + 1)
+                yield shape[:i] + ch + shape[i:]
+
+
+def test_parse_hydra_matches_reference():
+    # Catalan numbers: the ordered rooted trees of 1 to 7 nodes.
+    assert [len(_hydra_shapes(n)) for n in range(1, 8)] == [1, 1, 2, 5, 14, 42, 132]
+    deep = [
+        "(" * 3000 + ")" * 3000,
+        "(" * NESTING_LIMIT + ")" * NESTING_LIMIT,
+        "(" * (NESTING_LIMIT + 1) + ")" * (NESTING_LIMIT + 1),
+        "(()" + "(" * NESTING_LIMIT + ")" * NESTING_LIMIT + ")",
+    ]
+    for text in [*_hydra_texts(), *deep]:
+        assert _outcome(parse_hydra, text) == _outcome(_reference_parse_hydra, text), text
 
 
 # ---------------------------------------------------------------------------
