@@ -99,11 +99,17 @@ class Ordinal:
     Ordinals are hash-consed: while an ordinal is alive, building an equal one
     returns the same object, so ``==`` and ``hash`` are the object's own
     (identity). The intern table holds its ordinals weakly, so it holds only
-    live ones and does not grow with a run. Every construction checks every
-    term (an ``int`` coefficient >= 1, an ``Ordinal`` exponent) and stores it
-    as a tuple; the strict decrease is checked once, when the ordinal is first
-    built. Ordinals are immutable, and pickling or copying one gives back the
-    interned object.
+    live ones and does not grow with a run. The public constructor checks
+    every term on every call (an ``int`` coefficient >= 1, an ``Ordinal``
+    exponent) and stores it as a tuple; the strict decrease is checked once,
+    when the ordinal is first built. The module's own arithmetic, descent
+    steps and parser skip all of these checks and intern their results
+    through ``_intern`` directly: they only ever build canonical terms out of
+    interned ordinals, so checking them again would cost time and catch
+    nothing. That holds only when their arguments are real ordinals, which is
+    why every public function whose result reaches ``_intern`` refuses any
+    other argument with ``TypeError``. Ordinals are immutable, and pickling
+    or copying one gives back the interned object.
     """
 
     __slots__ = ("terms", "_depth", "__weakref__")
@@ -118,19 +124,7 @@ class Ordinal:
             if type(coeff) is not int or coeff < 1:
                 raise ValueError("coefficients must be integers >= 1")
             key.append((exp, coeff))
-        key = tuple(key)
-        with _INTERN_LOCK:  # one object per ordinal, also when threads race
-            self = _INTERNED.get(key)
-            if self is None:
-                for (prev, _), (exp, _) in zip(key, key[1:]):
-                    if _cmp(prev, exp) <= 0:
-                        raise ValueError("exponents must strictly decrease")
-                self = object.__new__(cls)
-                object.__setattr__(self, "terms", key)
-                # Depth grows with the order, so the leading exponent is the deepest.
-                object.__setattr__(self, "_depth", 1 + key[0][0]._depth if key else 0)
-                _INTERNED[key] = self
-        return self
+        return _intern(tuple(key), _check_decrease)
 
     def __setattr__(self, name: str, value: object) -> NoReturn:
         raise AttributeError("Ordinal is immutable")
@@ -160,6 +154,41 @@ class Ordinal:
 
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # terms -> Ordinal
 _INTERN_LOCK = threading.Lock()
+
+
+def _intern(key: _Terms, check: Callable[[_Terms], None] | None = None) -> Ordinal:
+    """The live ordinal with terms ``key``, built unchecked on a miss.
+
+    The one place that reads or writes the intern table. ``key`` must be a
+    tuple of ``(Ordinal, int >= 1)`` tuples; nothing here checks it, and on a
+    miss ``check(key)``, if given, runs before the ordinal is built. A hit
+    takes no lock: one dict look-up is atomic, and a dead weakref, whose
+    ordinal is gone, counts as a miss. A miss looks again under the lock, so
+    threads that race on it get one object.
+    """
+    ref = _INTERNED.data.get(key)  # the table's own dict of key -> weakref
+    if ref is not None:
+        self = ref()
+        if self is not None:
+            return self
+    with _INTERN_LOCK:
+        self = _INTERNED.get(key)
+        if self is None:
+            if check is not None:
+                check(key)
+            self = object.__new__(Ordinal)
+            object.__setattr__(self, "terms", key)
+            # Depth grows with the order, so the leading exponent is the deepest.
+            object.__setattr__(self, "_depth", 1 + key[0][0]._depth if key else 0)
+            _INTERNED[key] = self
+    return self
+
+
+def _check_decrease(key: _Terms) -> None:
+    for (prev, _), (exp, _) in zip(key, key[1:]):
+        if _cmp(prev, exp) <= 0:
+            raise ValueError("exponents must strictly decrease")
+
 
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
@@ -234,19 +263,26 @@ def _mul_terms(a: _Terms, b: _Terms) -> _Terms:
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Ordinal addition; left-absorbing (1 + w = w)."""
+    """Ordinal addition; left-absorbing (1 + w = w). ``TypeError`` unless both are Ordinals."""
+    if type(a) is not Ordinal or type(b) is not Ordinal:
+        raise TypeError("add takes two Ordinals")
     if not b.terms:
         return a
     if not a.terms:
         return b
-    return Ordinal(_add_terms(a.terms, b.terms))
+    return _intern(_add_terms(a.terms, b.terms))
 
 
 def mul(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Ordinal multiplication; left-distributes over addition on the right."""
+    """Ordinal multiplication; left-distributes over addition on the right.
+
+    ``TypeError`` unless both are Ordinals.
+    """
+    if type(a) is not Ordinal or type(b) is not Ordinal:
+        raise TypeError("mul takes two Ordinals")
     if not a.terms or not b.terms:
         return ZERO
-    return Ordinal(_mul_terms(a.terms, b.terms))
+    return _intern(_mul_terms(a.terms, b.terms))
 
 
 @lru_cache(maxsize=None)
@@ -264,12 +300,19 @@ def _omega_pow_terms(a: Ordinal) -> _Terms:
 
 
 def omega_pow(a: Ordinal) -> Ordinal:
-    """w raised to ``a``."""
-    return Ordinal(_omega_pow_terms(a))
+    """w raised to ``a``. ``TypeError`` unless ``a`` is an Ordinal."""
+    if type(a) is not Ordinal:
+        raise TypeError("omega_pow takes an Ordinal")
+    return _intern(_omega_pow_terms(a))
 
 
 def natural_sum(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Hessenberg sum: merge term lists, adding coefficients; commutative."""
+    """Hessenberg sum: merge term lists, adding coefficients; commutative.
+
+    ``TypeError`` unless both are Ordinals.
+    """
+    if type(a) is not Ordinal or type(b) is not Ordinal:
+        raise TypeError("natural_sum takes two Ordinals")
     terms: list[tuple[Ordinal, int]] = []
     i = j = 0
     ta, tb = a.terms, b.terms
@@ -287,7 +330,7 @@ def natural_sum(a: Ordinal, b: Ordinal) -> Ordinal:
             j += 1
     terms.extend(ta[i:])
     terms.extend(tb[j:])
-    return Ordinal(tuple(terms))
+    return _intern(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +352,12 @@ def classify(a: Ordinal) -> Kind:
 
 
 def predecessor(a: Ordinal) -> Ordinal:
-    """Predecessor of a successor ordinal."""
+    """Predecessor of a successor ordinal. ``TypeError`` unless ``a`` is an Ordinal."""
+    if type(a) is not Ordinal:
+        raise TypeError("predecessor takes an Ordinal")
     if classify(a) is not Kind.SUCCESSOR:
         raise ValueError(f"{a!r} is not a successor")
-    return Ordinal(_minus_last_power(a.terms)[0])
+    return _intern(_minus_last_power(a.terms)[0])
 
 
 def _minus_last_power(terms: _Terms) -> tuple[_Terms, Ordinal]:
@@ -340,8 +385,8 @@ def _fs(terms: _Terms, n: int) -> _Terms:
     if not bt[-1][0].terms:  # beta is a successor: w^(beta-1) * n
         if not n:
             return rest
-        return rest + ((Ordinal(_minus_last_power(bt)[0]), n),)
-    return rest + ((Ordinal(_fs(bt, n)), 1),)  # beta is a limit: w^(beta[n])
+        return rest + ((_intern(_minus_last_power(bt)[0]), n),)
+    return rest + ((_intern(_fs(bt, n)), 1),)  # beta is a limit: w^(beta[n])
 
 
 def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
@@ -350,12 +395,15 @@ def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
     Convention: w[n] = n; (rest + w^(d+1))[n] = rest + w^d * n;
     (rest + w^b)[n] = rest + w^(b[n]) for limit b; a trailing coefficient
     c > 1 first peels one w^b into the rest. Increasing in n with supremum
-    lam, and lam[n] < lam for all n. ``n`` must be an ``int``.
+    lam, and lam[n] < lam for all n. ``n`` must be an ``int``, and ``lam``
+    an ``Ordinal`` (``TypeError`` otherwise).
     """
+    if type(lam) is not Ordinal:
+        raise TypeError("fundamental_sequence takes an Ordinal")
     _check_int(n, "n", 0)
     if classify(lam) is not Kind.LIMIT:
         raise NotALimitError(f"{lam!r} is not a limit ordinal")
-    return Ordinal(_fs(lam.terms, n))
+    return _intern(_fs(lam.terms, n))
 
 
 def descend(a: Ordinal, picker: Callable[[Ordinal], int]) -> tuple[Ordinal, int]:
@@ -363,16 +411,19 @@ def descend(a: Ordinal, picker: Callable[[Ordinal], int]) -> tuple[Ordinal, int]
 
     A successor steps to its predecessor without calling ``picker``, and the
     index is -1; a limit steps to member picker(a) of its fundamental sequence,
-    and picker(a) must be an ``int`` >= 0.
+    and picker(a) must be an ``int`` >= 0. ``TypeError`` unless ``a`` is an
+    Ordinal.
     """
+    if type(a) is not Ordinal:
+        raise TypeError("descend takes an Ordinal")
     terms = a.terms
     if not terms:
         raise ValueError("0 has no descent step")
     if not terms[-1][0].terms:  # a successor
-        return Ordinal(_minus_last_power(terms)[0]), -1
+        return _intern(_minus_last_power(terms)[0]), -1
     n = picker(a)
     _check_int(n, "n", 0)
-    return Ordinal(_fs(terms, n)), n
+    return _intern(_fs(terms, n)), n
 
 
 def descent_walk(
@@ -384,11 +435,12 @@ def descent_walk(
 
     Successors step to their predecessor; limits step to lam[picker(lam)].
     Always terminates because the order is well-founded; raises
-    :class:`MaxLenExceededError` only if the caller's cap is hit first.
+    :class:`MaxLenExceededError` only if the caller's cap is hit first, and
+    ``TypeError`` (from :func:`descend`) unless ``start`` is an Ordinal.
     """
     walk = [start]
     current = start
-    while current.terms:
+    while current is not ZERO:  # interned: the one ordinal with no terms
         if len(walk) >= max_len:
             raise MaxLenExceededError(f"walk exceeded max_len={max_len}")
         current = descend(current, picker)[0]
@@ -487,7 +539,7 @@ class _OrdParser:
             if not base_is_w:
                 self.fail("exponent base must be w", at=start)
             self.open_group()
-            exp = Ordinal(self.power())  # right-associative
+            exp = _intern(self.power())  # right-associative
             self.nesting -= 1
             return _omega_pow_terms(exp)
         return base
@@ -545,7 +597,7 @@ def parse_ordinal(text: str) -> Ordinal:
     that would nest deeper than ``NESTING_LIMIT``, or
     :class:`OrdinalOverflowError` past the depth limit.
     """
-    return Ordinal(_OrdParser(text).parse(_OrdParser.sum_expr))
+    return _intern(_OrdParser(text).parse(_OrdParser.sum_expr))
 
 
 # ---------------------------------------------------------------------------

@@ -460,19 +460,28 @@ GOLDEN_RUNS = [
     (("w^2",), MixedEveryK(4), 123, 80),
     (("w^w", "3"), MixedEveryK(4), 5, 80),
 ]
+GOLDEN_RUNS_SHA256 = "e1430f9eaa23e3762c729df19cac5246d4d9be07aed908cbed6612aea5ae7c5a"
 
 
-def test_golden_event_logs(tmp_path):
-    data = b""
-    for i, (founders, policy, seed, max_events) in enumerate(GOLDEN_RUNS):
+def golden_logs(runs, tmp_path) -> tuple[list, bytes]:
+    """Run each row of ``runs`` (GOLDEN_RUNS or EDGE_RUNS): the event logs and
+    the bytes written for them."""
+    logs, data = [], b""
+    for i, (founders, policy, seed, max_events, *rule) in enumerate(runs):
         cfg = LineageConfig(
             founder_intelligences=tuple(o(f) for f in founders), policy=policy,
             rng_seed=seed, max_events=max_events,
+            multi_parent_rule=rule[0] if rule else MultiParentRule(),
         )
+        logs.append(run_lineage(cfg))
         path = tmp_path / f"run{i}.jsonl"
-        write_event_log(run_lineage(cfg), path)
+        write_event_log(logs[-1], path)
         data += path.read_bytes()
-    assert _sha(data) == "e1430f9eaa23e3762c729df19cac5246d4d9be07aed908cbed6612aea5ae7c5a"
+    return logs, data
+
+
+def test_golden_event_logs(tmp_path):
+    assert _sha(golden_logs(GOLDEN_RUNS, tmp_path)[1]) == GOLDEN_RUNS_SHA256
 
 
 EDGE_RUNS = [
@@ -486,19 +495,11 @@ EDGE_RUNS = [
     (("1",), AsexualOnly(), 0, 1, MultiParentRule()),
     (("w",), AsexualOnly(), 0, 1, MultiParentRule()),  # cap reached above 0
 ]
+EDGE_RUNS_SHA256 = "a4ade7a711f157f61769d781ba0a8fc519bff4f03c5a970c06c1c06161d74b67"
 
 
 def test_golden_edge_event_logs(tmp_path):
-    data = b""
-    for i, (founders, policy, seed, max_events, rule) in enumerate(EDGE_RUNS):
-        cfg = LineageConfig(
-            founder_intelligences=tuple(o(f) for f in founders), policy=policy,
-            rng_seed=seed, max_events=max_events, multi_parent_rule=rule,
-        )
-        path = tmp_path / f"edge{i}.jsonl"
-        write_event_log(run_lineage(cfg), path)
-        data += path.read_bytes()
-    assert _sha(data) == "a4ade7a711f157f61769d781ba0a8fc519bff4f03c5a970c06c1c06161d74b67"
+    assert _sha(golden_logs(EDGE_RUNS, tmp_path)[1]) == EDGE_RUNS_SHA256
 
 
 def test_golden_nondeterministic_draws():
