@@ -231,23 +231,6 @@ def test_threads_meet_dead_entries_and_rebuild_one_live_object():
                 assert ordinals._INTERNED.get(x.terms) is x
 
 
-def test_a_dead_entry_is_a_miss():
-    text = "w^(w^w*7+w^5)*3+w^(w+9)*2+4"
-    pending = iter(ordinals._INTERNED.values())
-    next(pending)
-    try:
-        a = parse_ordinal(text)
-        key = a.terms
-        del a
-        assert ordinals._INTERNED.data[key]() is None
-        b = parse_ordinal(text)
-        assert ordinals._INTERNED.data[key]() is b
-    finally:
-        pending.close()
-    assert format_ordinal(b) == text
-    assert ordinals._INTERNED.get(key) is b
-
-
 # ---------------------------------------------------------------------------
 # the unchecked path: keys that pass Ordinal's checks, objects it would give
 # ---------------------------------------------------------------------------
