@@ -1,8 +1,8 @@
 """Command-line front end: ion compile / run / verify / value / compare / hydra / lineage.
 
-Exit codes: 0 success, 1 domain errors (unparsable input or input nested too
-deep, missing files, a malformed lineage config, a compiled source over
-``MAX_SOURCE_BYTES``, an ``-o`` path that is its own ``.cert`` path,
+Exit codes: 0 success, 1 domain errors (unparsable input, input past one of
+the library's limits: nesting, string length or source size, missing files,
+a malformed lineage config, an ``-o`` path that is its own ``.cert`` path,
 certificate mismatch, refuted verification under --expect), 2 usage errors.
 Each subcommand builds its result once as a dict; ``--json`` prints it as one
 JSON object, and text mode prints it as ``key: value`` lines (see
@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
 
-from .objlang import _MAX_VALUE_LEN, Fuel, ObjLangError, evaluate, parse, serialize
+from .objlang import Fuel, ObjLangError, evaluate, parse, serialize
 from .ordinals import (
     OrdinalError,
     compare,
@@ -34,11 +34,11 @@ from .ordinals import (
 from .notation import (
     ProvenMember,
     Refuted,
+    SourceTooLargeError,
     certificate_text,
     parse_certificate,
     source_of,
     source_sha256,
-    source_size,
     value_lower_bound,
     verify,
 )
@@ -57,20 +57,11 @@ from .lineage import (
 
 __all__ = ["main"]
 
-# RecursionError: program text nested too deep for the object-language parser
-# and evaluator (ordinal and hydra text stop at ordinals.NESTING_LIMIT instead).
-_DOMAIN_ERRORS = (
-    ObjLangError, OrdinalError, LineageError, OSError, ValueError, RecursionError,
-)
+_DOMAIN_ERRORS = (ObjLangError, OrdinalError, LineageError, OSError, ValueError)
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_MAX_OUTPUTS = 16
 DEFAULT_DEPTH = 8
-# Source size about doubles per unit of the finite tail or of the
-# w-coefficient (w*17 is 4.46 MB, w*30 36.5 GB), so a small ordinal can ask
-# for a source far beyond memory. The limit is the evaluator's string length
-# limit, so a run can hold every source that ion compile writes.
-MAX_SOURCE_BYTES = _MAX_VALUE_LEN
 
 
 def _positive_int(text: str) -> int:
@@ -135,13 +126,13 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else None
     if out is not None and out.suffix == ".cert":
         raise ValueError(f"-o {out} names the certificate file; use a suffix other than .cert")
-    size = source_size(a, MAX_SOURCE_BYTES)
-    if size > MAX_SOURCE_BYTES:
+    try:
+        src = source_of(a)
+    except SourceTooLargeError as exc:
         raise ValueError(
-            f"the source of {format_ordinal(a)} would be at least {size} bytes;"
-            f" ion compile refuses sources over {MAX_SOURCE_BYTES} bytes"
-        )
-    src = source_of(a)
+            f"the source of {format_ordinal(a)} would be at least {exc.size} bytes;"
+            f" ion compile refuses sources over {exc.limit} bytes"
+        ) from None
     fields = {"ordinal": format_ordinal(a)}
     if out is None:
         fields["source"] = src

@@ -32,20 +32,23 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Generator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
 from .objlang import (
+    _MAX_VALUE_LEN,
     Assign,
     Equals,
     EvalError,
     Fuel,
     Head,
     IfElse,
-    LengthLimitError,
+    LimitError,
     Literal,
     Not,
+    ObjLangError,
     OpenProgramError,
     ParseError,
     Print,
@@ -87,6 +90,7 @@ __all__ = [
     "compile_ordinal",
     "source_of",
     "source_size",
+    "SourceTooLargeError",
     "decompile",
     "succ_notation",
     "ProvenMember",
@@ -390,13 +394,40 @@ def _driver_program(enc: str) -> Program:
 # compiler
 # ---------------------------------------------------------------------------
 
+class SourceTooLargeError(LimitError):
+    """The source of an ordinal would be longer than the evaluator's string limit.
+
+    Source size about doubles per unit of the finite tail or of the
+    w-coefficient (w*17 is 4.46 MB, w*30 36.5 GB), so a small ordinal can
+    ask for a source far beyond memory. No run could hold such a source, so
+    none is built: ``size`` is at least the source's length, and over ``limit``.
+    """
+
+    def __init__(self, a: Ordinal, size: int, limit: int):
+        self.size = size
+        self.limit = limit
+        super().__init__(
+            f"the source of {format_ordinal(a)} would be at least {size} bytes,"
+            f" over the limit of {limit}"
+        )
+
+
+def _check_source_size(a: Ordinal) -> None:
+    size = source_size(a, _MAX_VALUE_LEN)
+    if size > _MAX_VALUE_LEN:
+        raise SourceTooLargeError(a, size, _MAX_VALUE_LEN)
+
+
 @lru_cache(maxsize=None)
 def compile_ordinal(a: Ordinal) -> Program:
     """Canonical notation program whose value is exactly ``a``.
 
     Output n of a compiled limit is byte-equal to
     ``serialize(compile_ordinal(fundamental_sequence(a, n)))`` for every n.
+    Raises :class:`SourceTooLargeError`, before anything is built or cached,
+    when that text would be longer than the evaluator's string limit.
     """
+    _check_source_size(a)
     kind = classify(a)
     if kind is Kind.ZERO:
         return Program(())
@@ -414,7 +445,9 @@ def source_of(a: Ordinal) -> str:
 
     The text is put together from the skeletons' text, serialized once, and
     the source of the ordinal below, so no program is built or serialized.
+    Raises :class:`SourceTooLargeError` as :func:`compile_ordinal` does.
     """
+    _check_source_size(a)
     kind = classify(a)
     if kind is Kind.ZERO:
         return "End"
@@ -438,9 +471,18 @@ def _counts(text: str) -> tuple[int, int, int]:
     return len(text), text.count("'"), text.count("\\")
 
 
-def _encoded_len(a: Ordinal) -> int:
-    """``len(_encode(a))``."""
-    return sum(2 + _encoded_len(e) + c for e, c in a.terms)
+_END_COUNTS, _DRIVER_COUNTS = _counts("End"), _counts(_DRIVER_FRAME)
+_A0_COUNTS, _PRINT_COUNTS = _counts(_A0_FRAME), _counts(_PRINT_FRAME)
+
+
+def _encoded_len(terms: tuple[tuple[Ordinal, int], ...]) -> int:
+    """``len(_encode(a))`` for the ordinal ``a`` with these terms."""
+    n, stack = 0, [terms]
+    while stack:
+        for exp, coeff in stack.pop():
+            n += 2 + coeff
+            stack.append(exp.terms)
+    return n
 
 
 def source_size(a: Ordinal, limit: int | None = None) -> int:
@@ -452,11 +494,11 @@ def source_size(a: Ordinal, limit: int | None = None) -> int:
     true length, and the cost stays small however many wraps are left.
     """
     coeff = dict(a.terms)
-    core = Ordinal(tuple(t for t in a.terms if t[0] > ONE))
-    n, q, b = _counts(_DRIVER_FRAME if core.terms else "End")
+    # ordinals are interned, so the exponents 0 and 1 are these very objects
+    core = tuple(t for t in a.terms if t[0] is not ONE and t[0] is not ZERO)
+    n, q, b = _DRIVER_COUNTS if core else _END_COUNTS
     n += _encoded_len(core)
-    wraps = [(_counts(_A0_FRAME), coeff.get(ONE, 0)), (_counts(_PRINT_FRAME), coeff.get(ZERO, 0))]
-    for (fn, fq, fb), times in wraps:
+    for (fn, fq, fb), times in ((_A0_COUNTS, coeff.get(ONE, 0)), (_PRINT_COUNTS, coeff.get(ZERO, 0))):
         for _ in range(times):
             if limit is not None and n > limit:
                 return n
@@ -498,7 +540,7 @@ def decompile(p: Program) -> Ordinal | None:
                 break
         try:
             ss = parse(text).statements
-        except (ParseError, RecursionError):  # not a program, or nested too deep to parse
+        except ObjLangError:  # not a program, or nested past the nesting limit
             return None
     match ss:
         case ():
@@ -587,13 +629,16 @@ def _explore(
     path: tuple[int, ...],
     max_depth: int,
     acct: _Acct,
-) -> Refuted | tuple[bool, Ordinal]:
-    """Walk ``p``'s output tree: the first refutation, else (proven, bound).
+) -> Generator[tuple, object, Refuted | tuple[bool, Ordinal]]:
+    """Explore ``p``'s node of the output tree: the first refutation, else (proven, bound).
 
-    ``bound`` is the sup of (child bound + 1) over the outputs; it is the
-    exact value when ``proven``, that is when every execution in the subtree
-    halted within fuel. An output nested too deep for the interpreter's stack,
-    or a run that builds a string past the evaluator's length limit, is left
+    One generator per node, run by :func:`_walk`: for each child to explore
+    it yields the child's (program, fuel, level, path) and is sent the
+    child's result. ``bound`` is the sup of (child bound + 1) over the
+    outputs; it is the exact value when ``proven``, that is when every
+    execution in the subtree halted within fuel. A run or an output that
+    stops at one of the object language's limits (:class:`LimitError`: a
+    string past the length limit, groups past the nesting limit) is left
     unexplored with bound 0, never taken as a counterexample.
     """
     acct.evals += 1
@@ -603,7 +648,7 @@ def _explore(
         tr = evaluate(p, fuel)
     except (EvalError, OpenProgramError) as exc:
         return Refuted(path, f"runtime error: {exc}")
-    except (RecursionError, LengthLimitError):
+    except LimitError:
         return False, ZERO
     acct.steps += tr.steps_used
     children: list[Program | None] = []
@@ -613,7 +658,7 @@ def _explore(
         except ParseError as exc:
             acct.outputs += i + 1
             return Refuted(path + (i,), f"output does not parse: {exc}")
-        except RecursionError:
+        except LimitError:
             children.append(None)
     acct.outputs += len(children)
     proven = tr.status is TraceStatus.HALTED
@@ -625,7 +670,7 @@ def _explore(
         if child is None:
             proven, child_bound = False, ZERO
         else:
-            r = _explore(child, child_fuel, level + 1, path + (i,), max_depth, acct)
+            r = yield child, child_fuel, level + 1, path + (i,)
             if isinstance(r, Refuted):
                 return r
             child_proven, child_bound = r
@@ -634,6 +679,26 @@ def _explore(
         if cand > bound:
             bound = cand
     return proven, bound
+
+
+def _walk(p: Program, fuel: Fuel, max_depth: int, acct: _Acct) -> Refuted | tuple[bool, Ordinal]:
+    """The result of :func:`_explore` at ``p``'s root, on an explicit stack.
+
+    The stack holds the generators of the nodes on the path being explored,
+    so only ``max_depth`` and fuel bound how deep the walk goes.
+    """
+    stack = [_explore(p, fuel, 1, (), max_depth, acct)]
+    r = None
+    while stack:
+        try:
+            child = stack[-1].send(r)
+        except StopIteration as done:
+            stack.pop()
+            r = done.value
+        else:
+            stack.append(_explore(*child, max_depth, acct))
+            r = None
+    return r
 
 
 def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
@@ -649,7 +714,7 @@ def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
     """
     _check_int(max_depth, "max_depth", 1)
     acct = _Acct()
-    r = _explore(p, fuel, 1, (), max_depth, acct)
+    r = _walk(p, fuel, max_depth, acct)
     if isinstance(r, Refuted):
         verdict: Verdict = r
     else:
@@ -668,7 +733,7 @@ def value_lower_bound(p: Program, fuel: Fuel, max_depth: int) -> tuple[Ordinal, 
     walks, so a ProvenMember(v) verdict means (v, False) here.
     """
     _check_int(max_depth, "max_depth", 1)
-    r = _explore(p, fuel, 1, (), max_depth, _Acct())
+    r = _walk(p, fuel, max_depth, _Acct())
     return (ZERO, True) if isinstance(r, Refuted) else (r[1], False)
 
 

@@ -36,7 +36,9 @@ __all__ = [
     "ParseError",
     "OpenProgramError",
     "EvalError",
+    "LimitError",
     "LengthLimitError",
+    "NestingLimitError",
     "Literal",
     "Var",
     "Concat",
@@ -98,13 +100,44 @@ class EvalError(ObjLangError):
     """Runtime failure inside the object program (Head/Tail of '')."""
 
 
-class LengthLimitError(ObjLangError):
+class LimitError(ObjLangError):
+    """A fixed resource limit stopped the work: the input is too big, not faulty.
+
+    It is neither a :class:`ParseError` nor an :class:`EvalError`, so the
+    verifier leaves such an output unexplored and never takes it as a
+    counterexample.
+    """
+
+
+class LengthLimitError(LimitError):
     """A string value would grow past the evaluator's length limit.
 
     ``X=X+X`` doubles a value in one step, so fuel bounds neither the time
-    nor the memory a run takes; this limit does. It is not an
-    :class:`EvalError`: the program is not shown faulty, only too big to run.
+    nor the memory a run takes; this limit does.
     """
+
+
+class NestingLimitError(LimitError):
+    """Program text or an AST nests its groups deeper than the nesting limit.
+
+    The groups are ``Print(``, ``Head(``, ``Tail(``, ``Equals(``, ``Not(``,
+    ``While(...){...}``, ``If(...){...}`` and ``Else{...}``. The parser, the
+    serializer and the closure compiler recurse once per group, and all of
+    them raise this at the same depth, far inside the interpreter's
+    recursion limit.
+    """
+
+
+# Deepest nesting of groups (see NestingLimitError) that a program may have.
+_NESTING_LIMIT = 128
+
+
+def _nest(depth: int, offset: int | None = None) -> int:
+    """``depth + 1``, the depth inside one more group; the one place the limit is compared."""
+    if depth >= _NESTING_LIMIT:
+        where = "" if offset is None else f"offset {offset}: "
+        raise NestingLimitError(f"{where}nesting deeper than the limit of {_NESTING_LIMIT}")
+    return depth + 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +300,8 @@ def escape_literal(text: str) -> str:
     return text.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\n")
 
 
-def _emit_expr(e: Expr, parts: list[str]) -> None:
+def _emit_expr(e: Expr, parts: list[str], depth: int) -> None:
+    # ``depth`` counts the groups around ``e``, here and in the walkers below.
     match e:
         case Literal(text=t):
             parts.append("'")
@@ -276,67 +310,70 @@ def _emit_expr(e: Expr, parts: list[str]) -> None:
         case Var(name=n):
             parts.append(n)
         case Concat(parts=ps):
-            _emit_expr(ps[0], parts)
+            _emit_expr(ps[0], parts, depth)
             for x in ps[1:]:
                 parts.append("+")
-                _emit_expr(x, parts)
+                _emit_expr(x, parts, depth)
         case Head(arg=a):
             parts.append("Head(")
-            _emit_expr(a, parts)
+            _emit_expr(a, parts, _nest(depth))
             parts.append(")")
         case Tail(arg=a):
             parts.append("Tail(")
-            _emit_expr(a, parts)
+            _emit_expr(a, parts, _nest(depth))
             parts.append(")")
         case _:
             raise TypeError(f"not an Expr: {e!r}")
 
 
-def _emit_cond(c: Cond, parts: list[str]) -> None:
+def _emit_cond(c: Cond, parts: list[str], depth: int) -> None:
     match c:
         case TrueCond():
             parts.append("True")
         case Equals(left=l, right=r):
+            inner = _nest(depth)
             parts.append("Equals(")
-            _emit_expr(l, parts)
+            _emit_expr(l, parts, inner)
             parts.append(",")
-            _emit_expr(r, parts)
+            _emit_expr(r, parts, inner)
             parts.append(")")
         case Not(inner=i):
             parts.append("Not(")
-            _emit_cond(i, parts)
+            _emit_cond(i, parts, _nest(depth))
             parts.append(")")
         case _:
             raise TypeError(f"not a Cond: {c!r}")
 
 
-def _emit_stmt(s: Statement, parts: list[str]) -> None:
+def _emit_stmt(s: Statement, parts: list[str], depth: int) -> None:
     match s:
         case Print(expr=e):
             parts.append("Print(")
-            _emit_expr(e, parts)
+            _emit_expr(e, parts, _nest(depth))
             parts.append(");")
         case Assign(name=n, expr=e):
             parts.append(n)
             parts.append("=")
-            _emit_expr(e, parts)
+            _emit_expr(e, parts, depth)
             parts.append(";")
         case While(cond=c, body=b):
+            inner = _nest(depth)
             parts.append("While(")
-            _emit_cond(c, parts)
+            _emit_cond(c, parts, inner)
             parts.append("){")
             for st in b:
-                _emit_stmt(st, parts)
+                _emit_stmt(st, parts, inner)
             parts.append("}")
         case IfElse(cond=c, then_body=t, else_body=e):
+            inner = _nest(depth)
             parts.append("If(")
-            _emit_cond(c, parts)
+            _emit_cond(c, parts, inner)
             parts.append("){")
             for st in t:
-                _emit_stmt(st, parts)
+                _emit_stmt(st, parts, inner)
             parts.append("}Else{")
             for st in e:
-                _emit_stmt(st, parts)
+                _emit_stmt(st, parts, inner)
             parts.append("}")
         case _:
             raise TypeError(f"not a Statement: {s!r}")
@@ -346,7 +383,7 @@ def serialize(p: Program) -> str:
     """Emit the canonical source text of ``p`` (no whitespace, trailing End)."""
     parts: list[str] = []
     for s in p.statements:
-        _emit_stmt(s, parts)
+        _emit_stmt(s, parts, 0)
     parts.append("End")
     return "".join(parts)
 
@@ -399,9 +436,12 @@ _LITERAL_PIECES_RE = re.compile(r"(?:[ -&(-\[\]-~]+|\\['\\n]){0,1024}")
 
 
 class _Parser:
+    # ``nesting`` counts the groups open at ``pos`` (see NestingLimitError);
+    # each production that opens one brackets it with open_group/close_group.
     def __init__(self, source: str):
         self.src = source
         self.pos = 0
+        self.nesting = 0
 
     def fail(self, expected: str, at: int | None = None) -> NoReturn:
         pos = self.pos if at is None else at
@@ -418,6 +458,13 @@ class _Parser:
         if not self.src.startswith(token, self.pos):
             self.fail(f"'{token}'")
         self.pos += len(token)
+
+    def open_group(self) -> None:
+        """Count the group whose keyword starts at ``pos``."""
+        self.nesting = _nest(self.nesting, self.pos)
+
+    def close_group(self) -> None:
+        self.nesting -= 1
 
     def at_keyword(self, kw: str) -> bool:
         # True only at a token boundary, so 'Endless' is an identifier.
@@ -481,32 +528,42 @@ class _Parser:
         self.skip_ws()
         start = self.pos
         if self.at_keyword("Print"):
+            self.open_group()
             self.pos += 5
             self.eat("(")
             e = self.expr()
             self.eat(")")
+            self.close_group()
             self.eat(";")
             return Print(e)
         if self.at_keyword("While"):
+            self.open_group()
             self.pos += 5
             self.eat("(")
             c = self.cond()
             self.eat(")")
             self.eat("{")
-            return While(c, self.block())
+            body = self.block()
+            self.close_group()
+            return While(c, body)
         if self.at_keyword("If"):
+            self.open_group()
             self.pos += 2
             self.eat("(")
             c = self.cond()
             self.eat(")")
             self.eat("{")
             then_body = self.block()
+            self.close_group()
             self.skip_ws()
             if not self.at_keyword("Else"):
                 self.fail("'Else'")
+            self.open_group()
             self.pos += 4
             self.eat("{")
-            return IfElse(c, then_body, self.block())
+            else_body = self.block()
+            self.close_group()
+            return IfElse(c, then_body, else_body)
         name = self.ident()
         if name in KEYWORDS:
             self.fail("statement", at=start)
@@ -535,10 +592,12 @@ class _Parser:
             return self.literal()
         if self.at_keyword("Head") or self.at_keyword("Tail"):
             kw = self.src[self.pos : self.pos + 4]
+            self.open_group()
             self.pos += 4
             self.eat("(")
             e = self.expr()
             self.eat(")")
+            self.close_group()
             return Head(e) if kw == "Head" else Tail(e)
         start = self.pos
         m = _IDENT_TOKEN_RE.match(self.src, self.pos)
@@ -572,24 +631,32 @@ class _Parser:
             self.pos += 4
             return TrueCond()
         if self.at_keyword("Equals"):
+            self.open_group()
             self.pos += 6
             self.eat("(")
             l = self.expr()
             self.eat(",")
             r = self.expr()
             self.eat(")")
+            self.close_group()
             return Equals(l, r)
         if self.at_keyword("Not"):
+            self.open_group()
             self.pos += 3
             self.eat("(")
             c = self.cond()
             self.eat(")")
+            self.close_group()
             return Not(c)
         self.fail("condition")
 
 
 def parse(source: str) -> Program:
-    """Parse source text into the unique AST; raise :class:`ParseError` otherwise."""
+    """Parse source text into the unique AST; raise :class:`ParseError` otherwise.
+
+    Text that nests its groups deeper than the nesting limit raises
+    :class:`NestingLimitError`, which is not a :class:`ParseError`.
+    """
     return _Parser(source).program()
 
 
@@ -613,7 +680,8 @@ def check_closed(p: Program) -> None:
 
     Raises :class:`OpenProgramError` naming the offending variable. The check
     is per-path: a While body that reads a variable it only assigns later is
-    rejected, because the first iteration would read it unassigned.
+    rejected, because the first iteration would read it unassigned. A
+    program nested past the nesting limit raises :class:`NestingLimitError`.
     """
     _compile_program(p.statements)
 
@@ -711,8 +779,8 @@ def _to_str(v) -> str:
     return v.flat
 
 
-# The longest string value a run may build (64 MiB). ion compile refuses a
-# longer source, so a run can hold every source that it writes.
+# The longest string value a run may build (64 MiB). notation.source_of refuses
+# a longer source, so a run can hold every source that the compiler builds.
 _MAX_VALUE_LEN = 1 << 26
 
 
@@ -792,7 +860,7 @@ class _Run:
 # once, when they are registered, and reused by every program that ends in
 # one (see _skeleton_source and _compile_program).
 
-def _compile_expr(e: Expr, reads: set[str]) -> Callable[[_Run], object]:
+def _compile_expr(e: Expr, reads: set[str], depth: int) -> Callable[[_Run], object]:
     match e:
         case Literal(text=t):
             return lambda run, _t=t: _t
@@ -802,7 +870,7 @@ def _compile_expr(e: Expr, reads: set[str]) -> Callable[[_Run], object]:
                 return run.env[_n]  # its statement checked that _n is assigned
             return read
         case Concat(parts=ps):
-            first, *rest = (_compile_expr(x, reads) for x in ps)
+            first, *rest = (_compile_expr(x, reads, depth) for x in ps)
             def cat(run: _Run):
                 v = first(run)
                 for f in rest:
@@ -810,12 +878,12 @@ def _compile_expr(e: Expr, reads: set[str]) -> Callable[[_Run], object]:
                 return v
             return cat
         case Head(arg=a):
-            af = _compile_expr(a, reads)
+            af = _compile_expr(a, reads, _nest(depth))
             def head(run: _Run):
                 return _head(af(run))
             return head
         case Tail(arg=a):
-            af = _compile_expr(a, reads)
+            af = _compile_expr(a, reads, _nest(depth))
             def tail(run: _Run):
                 return _tail(af(run))
             return tail
@@ -823,17 +891,18 @@ def _compile_expr(e: Expr, reads: set[str]) -> Callable[[_Run], object]:
             raise TypeError(f"not an Expr: {e!r}")
 
 
-def _compile_cond(c: Cond, reads: set[str]) -> Callable[[_Run], bool]:
+def _compile_cond(c: Cond, reads: set[str], depth: int) -> Callable[[_Run], bool]:
     match c:
         case TrueCond():
             return lambda run: True
         case Equals(left=l, right=r):
-            lf, rf = _compile_expr(l, reads), _compile_expr(r, reads)
+            inner = _nest(depth)
+            lf, rf = _compile_expr(l, reads, inner), _compile_expr(r, reads, inner)
             def eq(run: _Run) -> bool:
                 return _eq(lf(run), rf(run))
             return eq
         case Not(inner=i):
-            inf = _compile_cond(i, reads)
+            inf = _compile_cond(i, reads, _nest(depth))
             def neg(run: _Run) -> bool:
                 return not inf(run)
             return neg
@@ -1085,10 +1154,12 @@ def _fuse_comma_scan(
     return do_comma_scan
 
 
-def _compile_block(stmts: tuple[Statement, ...], assigned: set[str]) -> tuple[tuple, set[str]]:
+def _compile_block(
+    stmts: tuple[Statement, ...], assigned: set[str], depth: int = 0
+) -> tuple[tuple, set[str]]:
     """The closures of ``stmts`` and the names assigned after them on every path."""
     current = set(assigned)
-    return tuple(_compile_stmt(s, current) for s in stmts), current
+    return tuple(_compile_stmt(s, current, depth) for s in stmts), current
 
 
 def _compile_program(stmts: tuple[Statement, ...]) -> tuple:
@@ -1108,12 +1179,12 @@ def _compile_program(stmts: tuple[Statement, ...]) -> tuple:
     return fns + tuple(_compile_stmt(s, current) for s in stmts[1:])
 
 
-def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
+def _compile_stmt(s: Statement, current: set[str], depth: int = 0) -> Callable[[_Run], None]:
     """The closure of ``s``; adds the names ``s`` assigns on every path to ``current``."""
     reads: set[str] = set()
     match s:
         case Print(expr=e):
-            ef = _compile_expr(e, reads)
+            ef = _compile_expr(e, reads, _nest(depth))
             _require_assigned(reads, current, "Print")
             def do_print(run: _Run) -> None:
                 # A blocked Print ends the run without charging a step, so a
@@ -1127,7 +1198,7 @@ def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
                 run.outputs.append(_to_str(ef(run)))
             return do_print
         case Assign(name=n, expr=e):
-            ef = _compile_expr(e, reads)
+            ef = _compile_expr(e, reads, depth)
             _require_assigned(reads, current, f"assignment to {n!r}")
             current.add(n)
             def do_assign(run: _Run, _n=n) -> None:
@@ -1137,10 +1208,11 @@ def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
                 run.env[_n] = ef(run)
             return do_assign
         case While(cond=c, body=b):
-            cf = _compile_cond(c, reads)
+            inner = _nest(depth)
+            cf = _compile_cond(c, reads, inner)
             _require_assigned(reads, current, "While condition")
             # The body may never run, so its assignments do not escape.
-            body, _ = _compile_block(b, current)
+            body, _ = _compile_block(b, current, inner)
             def do_while(run: _Run) -> None:
                 ms = run.max_steps
                 while True:
@@ -1154,10 +1226,11 @@ def _compile_stmt(s: Statement, current: set[str]) -> Callable[[_Run], None]:
             fused = _match_fused_loop(s)
             return do_while if fused is None else fused[0](do_while, *fused[1])
         case IfElse(cond=c, then_body=t, else_body=e):
-            cf = _compile_cond(c, reads)
+            inner = _nest(depth)
+            cf = _compile_cond(c, reads, inner)
             _require_assigned(reads, current, "If condition")
-            then_fns, after_then = _compile_block(t, current)
-            else_fns, after_else = _compile_block(e, current)
+            then_fns, after_then = _compile_block(t, current, inner)
+            else_fns, after_else = _compile_block(e, current, inner)
             current |= after_then & after_else
             def do_if(run: _Run) -> None:
                 if run.steps >= run.max_steps:
@@ -1295,7 +1368,8 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
     under any distinct variable names. Raises
     :class:`EvalError` for Head/Tail of the empty string, and
     :class:`OpenProgramError` if the program is not closed: closedness is
-    checked while the closures are built, before any step runs. Raises
+    checked while the closures are built, before any step runs, and so is
+    the nesting limit (:class:`NestingLimitError`). Raises
     :class:`LengthLimitError` when a string value would grow past the
     length limit.
 
@@ -1315,6 +1389,4 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
         status = TraceStatus.HALTED
     except _FuelStop:
         status = TraceStatus.FUEL_EXHAUSTED
-    except KeyError as exc:  # unreachable for a closed program; keep honest
-        raise EvalError(f"read of unassigned variable {exc.args[0]!r}") from None
     return Trace(tuple(run.outputs), status, run.steps)

@@ -32,6 +32,8 @@ def test_exit_code_table(tmp_path, capsys):
     open_ion.write_text("Print(X);End")
     doubling = tmp_path / "doubling.ion"
     doubling.write_text(doubling_program(40))
+    deep = tmp_path / "deep600.ion"
+    deep.write_text("Print(" + "Head(" * 600 + "'a'" + ")" * 600 + ");End")
     own_cert = tmp_path / "x.cert"
     configs = []
     for i, text in enumerate([
@@ -66,6 +68,9 @@ def test_exit_code_table(tmp_path, capsys):
         (["run", str(doubling)], 1),                    # a string of 2**41 characters
         (["verify", str(doubling), "--depth", "2"], 0), # Inconclusive, not Refuted
         (["compile", "w", "-o", str(own_cert)], 1),     # program path is its .cert path
+        (["run", str(deep)], 1),                        # 600 nested Head( past the limit
+        (["verify", str(deep)], 1),
+        (["value", str(deep)], 1),
     ] + [
         (["lineage", "--config", str(cfg)], 1)          # malformed config field
         for cfg in configs
@@ -77,6 +82,8 @@ def test_exit_code_table(tmp_path, capsys):
         str(doubling): "error: string value of 134217728 characters is over the limit of 67108864\n",
         str(own_cert): f"error: -o {own_cert} names the certificate file;"
                        " use a suffix other than .cert\n",
+        # Print( and 127 Head( fill the nesting limit; the next Head( is at 641
+        str(deep): "error: offset 641: nesting deeper than the limit of 128\n",
     }
     for argv, expected in table:
         rc = main(argv)

@@ -8,15 +8,20 @@ import pytest
 from hypothesis import strategies as st
 
 from conftest import random_ordinal
-from test_objlang import doubling_program
-from ionkit import notation
+from test_objlang import _head_5000, _not_3000, doubling_program
+from ionkit import notation, objlang
 from ionkit.objlang import (
     Assign,
     Fuel,
+    Head,
+    LimitError,
     Literal,
     ParseError,
     Print,
     Program,
+    Var,
+    concat,
+    escape_loop,
     evaluate,
     parse,
     serialize,
@@ -25,6 +30,7 @@ from ionkit.notation import (
     Inconclusive,
     ProvenMember,
     Refuted,
+    SourceTooLargeError,
     certificate_text,
     compile_ordinal,
     decompile,
@@ -176,6 +182,21 @@ def test_source_size_builds_no_text():
         tracemalloc.stop()
     assert size == 1000005002
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("build", [source_of, compile_ordinal], ids=["source_of", "compile_ordinal"])
+def test_a_source_past_the_string_limit_is_refused_before_it_is_built(build):
+    a = o("w*21")  # 71,306,413 bytes, the smallest w*c past 64 MiB
+    entries = (source_of.cache_info().currsize, compile_ordinal.cache_info().currsize)
+    start = time.perf_counter()
+    with pytest.raises(SourceTooLargeError) as exc:
+        build(a)
+    assert time.perf_counter() - start < 0.1
+    assert (exc.value.size, exc.value.limit) == (71306413, 2**26)
+    assert isinstance(exc.value, LimitError)
+    assert str(exc.value) == "the source of w*21 would be at least 71306413 bytes, over the limit of 67108864"
+    # nothing was cached, not even the sources of the ordinals below
+    assert (source_of.cache_info().currsize, compile_ordinal.cache_info().currsize) == entries
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +552,8 @@ def test_verify_and_value_lower_bound_agree(corpus200):
         assert bound <= a, (serialize(p)[:80], fuel)
 
 
-# An output nested too deep for the recursive parser is unexplored, never a
-# counterexample.
+# An output nested past the object language's nesting limit stops the parser
+# with a NestingLimitError, so it is unexplored, never a counterexample.
 DEEP_HEAD = "Print(" + "Head(" * 2000 + "'a'" + ")" * 2000 + ");End"
 
 
@@ -543,6 +564,50 @@ def test_output_too_deep_for_the_stack_is_inconclusive(text):
     assert isinstance(r.verdict, Inconclusive)
     assert r.fuel_spent.outputs == 1
     assert value_lower_bound(p, AMPLE, 4) == (ONE, False)
+
+
+@pytest.mark.parametrize("build", [_head_5000, _not_3000], ids=["head_5000", "not_3000"])
+def test_program_past_the_nesting_limit_is_inconclusive(build):
+    p = build()
+    r = verify(p, AMPLE, 4)
+    assert r.verdict == Inconclusive(0, 1), r
+    assert value_lower_bound(p, AMPLE, 4) == (ZERO, False)
+
+
+def self_printing_program() -> Program:
+    """``X='<rest>';<rest>``, where <rest> escapes X and prints the whole program."""
+    rest = (
+        Assign("E", Literal("")),
+        Assign("R", Var("X")),
+        escape_loop("R", "H", "E"),
+        Print(concat(Literal("X='"), Var("E"), Literal("';"), Var("X"))),
+    )
+    return Program((Assign("X", Literal(serialize(Program(rest)))),) + rest)
+
+
+def test_the_walk_goes_as_deep_as_max_depth():
+    # Each node prints the program itself, so only max_depth stops the walk;
+    # a walk on the interpreter's stack stopped near its 1000-frame limit.
+    p = self_printing_program()
+    tr = evaluate(p, AMPLE)
+    assert tr.outputs == (serialize(p),) and tr.steps_used == 957
+    r = verify(p, AMPLE, 3000)
+    assert r.verdict == Inconclusive(outputs_checked=3000, depth_reached=3000)
+    assert r.fuel_spent == notation.FuelSpent(957 * 3000, 3000, 3000)
+
+
+def test_a_key_error_inside_a_run_is_not_a_refutation(monkeypatch):
+    # A KeyError in a run is a fault of the evaluator, not of the program:
+    # it propagates rather than becoming a runtime error and a Refuted verdict.
+    def broken_head(v):
+        raise KeyError("X")
+
+    monkeypatch.setattr(objlang, "_head", broken_head)
+    p = Program((Print(Head(Literal("End"))),))
+    with pytest.raises(KeyError):
+        verify(p, AMPLE, 4)
+    with pytest.raises(KeyError):
+        value_lower_bound(p, AMPLE, 4)
 
 
 def test_output_past_the_length_limit_is_inconclusive():

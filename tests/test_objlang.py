@@ -18,7 +18,9 @@ from ionkit.objlang import (
     Head,
     IfElse,
     LengthLimitError,
+    LimitError,
     Literal,
+    NestingLimitError,
     Not,
     OpenProgramError,
     ParseError,
@@ -188,6 +190,84 @@ def test_literal_rejects_unprintable():
     with pytest.raises(ValueError):
         Literal("\x00")
     Literal("ok \n text")  # newline and printable ASCII are fine
+
+
+# ---------------------------------------------------------------------------
+# the nesting limit: one rule for text and for ASTs
+# ---------------------------------------------------------------------------
+
+LIMIT = objlang._NESTING_LIMIT
+
+
+def _nested_text(kind: str, n: int) -> str:
+    """A closed program whose deepest chain is ``n`` groups, most of them ``kind``."""
+    heads = lambda k, inner: "Head(" * k + inner + ")" * k
+    return {
+        "Print": "X='a';Print(" + heads(n - 1, "X") + ");End",
+        "Head": "X='a';Y=" + heads(n, "X") + ";End",
+        "Tail": "X='" + "a" * n + "';Y=" + "Tail(" * n + "X" + ")" * n + ";End",
+        "Equals": "X='a';If(Equals(X," + heads(n - 2, "X") + ")){}Else{}End",
+        "Not": "If(" + "Not(" * (n - 1) + "True" + ")" * (n - 1) + "){}Else{}End",
+        # the outer loop's condition is false, so the inner loops never run
+        "While": "X='a';While(Equals(X,'b')){" + "While(True){" * (n - 1) + "}" * n + "End",
+        "If": "If(True){" * n + "}Else{}" * n + "End",
+        "Else": "If(True){}Else{" * n + "}" * n + "End",
+    }[kind]
+
+
+GROUP_KINDS = ["Print", "Head", "Tail", "Equals", "Not", "While", "If", "Else"]
+
+
+@pytest.mark.parametrize("kind", GROUP_KINDS)
+def test_text_at_the_nesting_limit_roundtrips_and_runs(kind):
+    text = _nested_text(kind, LIMIT)
+    p = parse(text)
+    assert serialize(p) == text
+    check_closed(p)
+    assert evaluate(p, Fuel(10**4, 2)).status is TraceStatus.HALTED
+
+
+@pytest.mark.parametrize("kind", GROUP_KINDS)
+def test_one_group_past_the_nesting_limit_is_refused_on_every_path(kind):
+    text = _nested_text(kind, LIMIT + 1)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(objlang, "_NESTING_LIMIT", LIMIT + 1)
+        p = parse(text)
+    for refuse in (lambda: parse(text), lambda: serialize(p), lambda: check_closed(p),
+                   lambda: evaluate(p, Fuel(10**4, 2))):
+        with pytest.raises(NestingLimitError, match=f"nesting deeper than the limit of {LIMIT}$") as exc:
+            refuse()
+        assert isinstance(exc.value, LimitError) and not isinstance(exc.value, ParseError)
+
+
+def test_parse_names_the_offset_of_the_group_past_the_limit():
+    text = "Print(" + "Head(" * 600 + "'a'" + ")" * 600 + ");End"
+    with pytest.raises(NestingLimitError) as exc:
+        parse(text)
+    # Print( and 127 Head( fill the limit; the next Head( starts at 6 + 127 * 5
+    assert str(exc.value) == f"offset 641: nesting deeper than the limit of {LIMIT}"
+
+
+def _head_5000() -> Program:
+    e = Var("X")
+    for _ in range(5000):
+        e = Head(e)
+    return Program((Assign("X", Literal("a")), Print(e)))
+
+
+def _not_3000() -> Program:
+    c = TrueCond()
+    for _ in range(3000):
+        c = Not(c)
+    return Program((While(c, ()),))
+
+
+@pytest.mark.parametrize("build", [_head_5000, _not_3000], ids=["head_5000", "not_3000"])
+def test_python_built_deep_ast_stops_at_the_nesting_limit(build):
+    p = build()
+    for refuse in (serialize, check_closed, lambda q: evaluate(q, Fuel(10, 1))):
+        with pytest.raises(NestingLimitError):
+            refuse(p)
 
 
 # ---------------------------------------------------------------------------
