@@ -726,7 +726,9 @@ class _FuelStop(Exception):
 
 # Runtime string values are ropes: plain str, a suffix view into a str, or a
 # lazy concatenation. Object programs build strings one character at a time,
-# and plain str would make those loops quadratic.
+# and plain str would make those loops quadratic. A concatenation of at most
+# _SHORT characters is copied into a plain str at once: most values stay that
+# short, and a _Cat of them would only be flattened later.
 
 class _View:
     __slots__ = ("base", "start")
@@ -783,6 +785,9 @@ def _to_str(v) -> str:
 # a longer source, so a run can hold every source that the compiler builds.
 _MAX_VALUE_LEN = 1 << 26
 
+# The longest concatenation that is copied into a plain str (see above).
+_SHORT = 256
+
 
 def _concat_val(l, r):
     """The one place a value grows: ``l`` followed by ``r``, at most _MAX_VALUE_LEN long."""
@@ -791,11 +796,15 @@ def _concat_val(l, r):
         return r
     if rl == 0:
         return l
-    if ll + rl > _MAX_VALUE_LEN:
+    n = ll + rl
+    # The limit before the short path, so that it holds at any value, below _SHORT too.
+    if n > _MAX_VALUE_LEN:
         raise LengthLimitError(
-            f"string value of {ll + rl} characters is over the limit of {_MAX_VALUE_LEN}"
+            f"string value of {n} characters is over the limit of {_MAX_VALUE_LEN}"
         )
-    return _Cat(l, r, ll + rl)
+    if n <= _SHORT:
+        return _to_str(l) + _to_str(r)
+    return _Cat(l, r, n)
 
 
 # The three other primitives on values, used by the closures and by the
@@ -833,6 +842,8 @@ def _tail(v):
 
 def _eq(lv, rv) -> bool:
     """``Equals``: whether ``lv`` and ``rv`` hold the same text."""
+    if lv is rv:  # X+'' is X itself: a shared rope is not flattened to compare it
+        return True
     if type(lv) is str and type(rv) is str:
         return lv == rv
     return _vlen(lv) == _vlen(rv) and _to_str(lv) == _to_str(rv)
@@ -1057,15 +1068,29 @@ def _text_at(v) -> tuple[str, int]:
 def _fuse_escape_loop(
     plain: Callable[[_Run], None], walk: str, char: str, dst: str
 ) -> Callable[[_Run], None]:
+    # The last text escaped, its escape and its count of quotes. The driver
+    # escapes its own source text, one str object, for every output, so a
+    # text that is that very object reuses the result. The entry is replaced
+    # by one assignment, so concurrent runs read an old or a new entry whole.
+    # It keeps one text and its escape alive per closure; only the 4 closures
+    # of the registered skeletons (1 in the A0 loop, 3 in the driver tail)
+    # outlive a run.
+    last = [(None, "", 0)]
+
     def do_escape(run: _Run) -> None:
         env = run.env
         s = _to_str(env[walk])
-        escaped = s.replace("\\", "\\\\").replace("'", "\\'")
+        text, escaped, quotes = last[0]
+        if text is not s:
+            doubled = s.replace("\\", "\\\\")
+            escaped = doubled.replace("'", "\\'")
+            quotes = len(escaped) - len(doubled)
+            last[0] = (s, escaped, quotes)
         if _vlen(env[dst]) + len(escaped) > _MAX_VALUE_LEN:
             return plain(run)
         # 1 for the final check; per character 6, or 5 for a quote, which
         # takes the first branch and skips the inner If.
-        _charge(run, 1 + 6 * len(s) - s.count("'"))
+        _charge(run, 1 + 6 * len(s) - quotes)
         if s:
             env[walk] = ""
             env[char] = s[-1]

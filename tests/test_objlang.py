@@ -1,6 +1,8 @@
 import collections
 import hashlib
 import random
+import sys
+import threading
 import time
 
 import hypothesis as hyp
@@ -8,12 +10,13 @@ import pytest
 from hypothesis import strategies as st
 
 from ionkit import objlang
-from ionkit.notation import _esc_stmts, compile_ordinal
+from ionkit.notation import _DRIVER_CODE_TEXT, _a0_program, _esc_stmts, compile_ordinal
 from ionkit.objlang import (
     Assign,
     Concat,
     Equals,
     EvalError,
+    Expr,
     Fuel,
     Head,
     IfElse,
@@ -486,6 +489,75 @@ def test_head_of_a_shared_rope_walks_its_left_spine():
     assert time.perf_counter() - start < 1
 
 
+def test_equals_of_a_shared_rope_with_itself_does_not_flatten_it():
+    # X+'' is X itself, so Equals(X,X+'') compares one rope with itself
+    v = "ab"
+    for _ in range(20):
+        v = objlang._concat_val(v, v)
+    assert type(v) is objlang._Cat and objlang._vlen(v) == 1 << 21
+    assert objlang._concat_val(v, "") is v
+    assert objlang._eq(v, v)
+    assert v.flat is None
+    src = doubling_program(20).replace(
+        "Print(Head(X));", "If(Equals(X,X+'')){Print('same');}Else{Print('differ');}"
+    )
+    assert evaluate(parse(src), Fuel(100, 1)) == Trace(("same",), TraceStatus.HALTED, 65)
+
+
+# Rope values of up to a few hundred characters: str, suffix views and _Cat
+# nodes, including short _Cat nodes that _concat_val itself no longer builds.
+rope_text = st.integers(0, 300).flatmap(
+    lambda n: st.text(alphabet=st.sampled_from("ab'\\"), min_size=n, max_size=n)
+)
+
+
+def _cat_of(l, r):
+    n, m = objlang._vlen(l), objlang._vlen(r)
+    return objlang._Cat(l, r, n + m) if n and m else l  # both halves of a _Cat are nonempty
+
+
+ropes = st.recursive(
+    st.one_of(
+        rope_text,
+        st.builds(lambda t, k: objlang._View(t, min(k, len(t))), rope_text, st.integers(0, 300)),
+    ),
+    lambda v: st.builds(_cat_of, v, v),
+    max_leaves=4,
+)
+
+
+@hyp.given(ropes, ropes)
+@hyp.example("a" * 128, "b" * 128)
+@hyp.example("a" * 128, "b" * 129)
+@hyp.example(objlang._View("x" + "a" * 200, 1), objlang._Cat("b" * 50, "c" * 6, 56))
+def test_concatenations_up_to_short_are_flat_str(l, r):
+    # the result first: _to_str of a _Cat stores its flat text in the node
+    v = objlang._concat_val(l, r)
+    text = objlang._to_str(l) + objlang._to_str(r)
+    assert objlang._to_str(v) == text and objlang._vlen(v) == len(text)
+    if not objlang._vlen(l) or not objlang._vlen(r):
+        assert v is (r if not objlang._vlen(l) else l)
+    elif len(text) <= objlang._SHORT:
+        assert type(v) is str
+    else:
+        assert type(v) is objlang._Cat
+
+
+@hyp.given(ropes, ropes, st.integers(0, objlang._SHORT - 1))
+@hyp.example("ab", "c", 2)
+def test_length_limit_below_short_raises_at_the_same_lengths(l, r, limit):
+    n = objlang._vlen(l) + objlang._vlen(r)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(objlang, "_MAX_VALUE_LEN", limit)
+        if objlang._vlen(l) and objlang._vlen(r) and n > limit:
+            with pytest.raises(LengthLimitError) as exc:
+                objlang._concat_val(l, r)
+            assert str(exc.value) == f"string value of {n} characters is over the limit of {limit}"
+        else:
+            v = objlang._concat_val(l, r)
+            assert objlang._to_str(v) == objlang._to_str(l) + objlang._to_str(r)
+
+
 def test_fused_escape_loop_growth_is_limited(monkeypatch):
     # D would become 123456ab\'c, 11 characters, in one fused pass
     p = Program((Assign("W", Literal("ab'c")), Assign("D", Literal("123456")),
@@ -768,6 +840,138 @@ def test_escape_loop_leaves_newlines_raw():
     assert fast == plain
     assert fast.outputs == ("a\nb\\'",)
     assert fast.outputs[0] != escape_literal("a\nb'")
+
+
+# ---------------------------------------------------------------------------
+# a fused escape loop reuses its last result for the very same str object
+# ---------------------------------------------------------------------------
+
+def _escape_twice(s: str, again: Expr) -> Program:
+    """S=s; one escape loop run twice: on S, then on S=``again``."""
+    return Program((
+        Assign("S", Literal(s)),
+        Assign("N", Literal("II")),
+        Assign("H", Literal("h")),
+        Assign("D", Literal(">")),
+        While(Not(Equals(Var("N"), Literal(""))), (
+            Assign("N", Tail(Var("N"))),
+            Assign("W", Var("S")),
+            escape_loop("W", "H", "D"),
+            Assign("S", again),
+        )),
+        Print(Var("D")),
+        Print(Var("H")),
+    ))
+
+
+@pytest.mark.parametrize(
+    "s, again, limit",
+    [
+        ("abcdef", Var("S"), None),
+        ("abcdef", concat(Head(Var("S")), Tail(Var("S"))), None),
+        ("a'b\\c''\\\\d", Var("S"), None),
+        ("ab'c", Var("S"), 10),
+    ],
+    ids=["same_object", "equal_distinct", "quotes_and_backslashes", "dst_too_long"],
+)
+def test_escape_memo_matches_the_passes_at_every_step_budget(s, again, limit, monkeypatch):
+    if limit is not None:
+        # >ab\'c fits the limit; the second escape's 11 characters do not
+        monkeypatch.setattr(objlang, "_MAX_VALUE_LEN", limit)
+    p = _escape_twice(s, again)
+    full = _fast_and_plain(p, Fuel(10**4, 2))
+    assert full[0] == full[1]
+    if limit is None:
+        e = s.replace("\\", "\\\\").replace("'", "\\'")
+        assert full[0].outputs == (">" + e + e, s[-1])
+    else:
+        assert full[0][0] is LengthLimitError
+    for max_steps in range(1, 12 * len(s) + 20):
+        fast, plain = _fast_and_plain(p, Fuel(max_steps, 2))
+        assert fast == plain, max_steps
+    assert (fast, plain) == full
+
+
+def _memo_of(do_escape) -> list:
+    """The one-entry memo list of a fused escape loop's closure."""
+    cells = dict(zip(do_escape.__code__.co_freevars, do_escape.__closure__))
+    return cells["last"].cell_contents
+
+
+def test_escape_memo_hits_only_on_the_very_same_object():
+    do_escape = objlang._compile_stmt(escape_loop("W", "H", "D"), {"W", "D"})
+    memo = _memo_of(do_escape)
+
+    def escape(s: str):
+        run = objlang._Run(Fuel(10**4, 1))
+        run.env.update(W=s, H="h", D=">")
+        do_escape(run)
+        return objlang._to_str(run.env["D"]), run.env["H"], run.steps
+
+    s = "a'b\\c" * 3
+    first = escape(s)
+    assert first == (">" + "a\\'b\\\\c" * 3, "c", 1 + 6 * 15 - 3)
+    entry = memo[0]
+    assert entry == (s, "a\\'b\\\\c" * 3, 3) and entry[0] is s
+    assert escape(s) == first and memo[0] is entry  # a hit leaves the entry as it was
+    t = "".join(list(s))
+    assert t == s and t is not s
+    assert escape(t) == first and memo[0][0] is t  # a miss replaces it
+
+
+def _skeleton_escape_memos() -> dict:
+    """The memo of each escape closure the registered skeletons hold, by skeleton."""
+    memos = {}
+    for _, (fn,), stmts in objlang._SKELETON_FNS.values():
+        consts = (c.cell_contents for c in fn.__closure__)
+        memos[stmts] = [_memo_of(f) for f in consts if getattr(f, "__name__", "") == "do_escape"]
+    return memos
+
+
+def test_a_later_run_replaces_each_skeleton_memo():
+    memos = _skeleton_escape_memos()
+    assert sorted(map(len, memos.values())) == [1, 3]
+    (a0,) = next(ms for ms in memos.values() if len(ms) == 1)
+    # the A0 loop escapes X, its first statement's literal, once per output
+    for base in ("Print('a');End", "Print('b\\\\');End"):
+        p = _a0_program(base)
+        evaluate(p, Fuel(10**4, 1))
+        assert len(a0) == 1 and a0[0][0] is p.statements[0].expr.text
+    # the driver escapes its own source text, the skeleton's literal L
+    evaluate(compile_ordinal(parse_ordinal("w^w")), Fuel(10**5, 4))
+    driver = next(ms for ms in memos.values() if len(ms) == 3)
+    assert sum(m[0][0] is _DRIVER_CODE_TEXT for m in driver) == 1
+
+
+def test_shared_escape_memos_stay_consistent_across_threads():
+    # Drivers (w^2 re-quotes its member n n times, so its wrap loops run
+    # too) and an A0 program, in every thread at once: all of them share the
+    # skeletons' escape closures.
+    programs = [compile_ordinal(parse_ordinal(t)) for t in ("w^w", "w^(w^w)", "w^2", "w*3")]
+    fuel = Fuel(10**6, 4)
+    expected = [evaluate(p, fuel) for p in programs]
+    errors = []
+
+    def work(t: int):
+        try:
+            for i in range(60):
+                k = (t + i) % len(programs)
+                assert evaluate(programs[k], fuel) == expected[k]
+        except Exception as exc:  # reported below; a thread's failure is otherwise lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors
 
 
 # ---------------------------------------------------------------------------
