@@ -117,6 +117,8 @@ class MultiParentRule:
     max_descent: int = 4
 
     def __post_init__(self) -> None:
+        if type(self.bonus) is not Ordinal:
+            raise TypeError("bonus must be an Ordinal")
         _check_int(self.max_descent, "max_descent", 0)
 
 
@@ -150,6 +152,12 @@ class LineageConfig:
         )
         if not self.founder_intelligences:
             raise ValueError("at least one founder is required")
+        if any(type(f) is not Ordinal for f in self.founder_intelligences):
+            raise TypeError("founder intelligences must be Ordinals")
+        if not isinstance(self.policy, (AsexualOnly, MixedEveryK)):
+            raise TypeError("policy must be AsexualOnly() or MixedEveryK(k)")
+        if not isinstance(self.multi_parent_rule, MultiParentRule):
+            raise TypeError("multi_parent_rule must be a MultiParentRule")
         _check_int(self.max_events, "max_events", 1)
 
 
@@ -317,7 +325,12 @@ def run_lineage(config: LineageConfig) -> list[LineageEvent]:
         else:
             break
         events.append(event)
-        ranked = sorted([*ranked, child], key=_rank, reverse=True)[:2] if mixed else [child]
+        if not mixed:
+            ranked = [child]
+        elif child.intelligence >= best.intelligence:  # the newest id wins a tie
+            ranked = [child, best]
+        elif len(ranked) == 1 or child.intelligence >= ranked[1].intelligence:
+            ranked = [best, child]
     if len(ranked) == 1 and ranked[0].intelligence == ZERO:
         events.append(LineageEvent(EventKind.STERILE, ranked[0].id, (), ZERO, -1, len(events)))
     return events
@@ -408,9 +421,13 @@ def event_from_json(data: dict) -> LineageEvent:
     )
 
 
+# One encoder for every line; json.dumps with separators builds a new one per call.
+_ENCODE_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def event_log_text(log: Sequence[LineageEvent]) -> str:
     """JSON-lines text of ``log``: one compact JSON object per event."""
-    return "".join(json.dumps(event_to_json(ev), separators=(",", ":")) + "\n" for ev in log)
+    return "".join(_ENCODE_COMPACT(event_to_json(ev)) + "\n" for ev in log)
 
 
 def write_event_log(log: Sequence[LineageEvent], path: str | Path) -> None:

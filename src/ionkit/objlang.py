@@ -401,6 +401,10 @@ def serialize(p: Program) -> str:
 _SKELETON_STMTS: dict[str, tuple[Statement, ...]] = {}
 # ids -> (names assigned before the skeleton, (its generated function,), its statements)
 _SKELETON_FNS: dict[tuple[int, ...], tuple[frozenset[str], tuple, tuple[Statement, ...]]] = {}
+# id of each text a skeleton assigns as a top-level literal -> its escape and
+# count of quotes (see _fuse_escape_loop). The skeleton's statements keep the
+# text alive, so its id names no other object.
+_LITERAL_ESCAPES: dict[int, tuple[str, int]] = {}
 
 
 def _register_skeleton(stmts: tuple[Statement, ...], names_before: set[str]) -> str:
@@ -414,6 +418,9 @@ def _register_skeleton(stmts: tuple[Statement, ...], names_before: set[str]) -> 
     text = serialize(Program(stmts))
     _compile_block(stmts, names_before)
     _SKELETON_STMTS[text] = stmts
+    for s in stmts:
+        if type(s) is Assign and type(s.expr) is Literal:
+            _LITERAL_ESCAPES[id(s.expr.text)] = _escape(s.expr.text)
     _SKELETON_FNS[tuple(map(id, stmts))] = (
         frozenset(names_before),
         (_skeleton_function(stmts),),
@@ -1065,27 +1072,24 @@ def _text_at(v) -> tuple[str, int]:
     return _to_str(v), 0
 
 
+def _escape(s: str) -> tuple[str, int]:
+    """``s`` with backslashes doubled and quotes backslashed, and its count of quotes."""
+    doubled = s.replace("\\", "\\\\")
+    escaped = doubled.replace("'", "\\'")
+    return escaped, len(escaped) - len(doubled)
+
+
 def _fuse_escape_loop(
     plain: Callable[[_Run], None], walk: str, char: str, dst: str
 ) -> Callable[[_Run], None]:
-    # The last text escaped, its escape and its count of quotes. The driver
-    # escapes its own source text, one str object, for every output, so a
-    # text that is that very object reuses the result. The entry is replaced
-    # by one assignment, so concurrent runs read an old or a new entry whole.
-    # It keeps one text and its escape alive per closure; only the 4 closures
-    # of the registered skeletons (1 in the A0 loop, 3 in the driver tail)
-    # outlive a run.
-    last = [(None, "", 0)]
-
+    # The driver escapes its own source text, the skeleton's literal L, for
+    # every output: a text that is such a literal takes the escape made once
+    # when the skeleton was registered. Any other text is escaped afresh, and
+    # nothing keeps it or its escape once the run is over.
     def do_escape(run: _Run) -> None:
         env = run.env
         s = _to_str(env[walk])
-        text, escaped, quotes = last[0]
-        if text is not s:
-            doubled = s.replace("\\", "\\\\")
-            escaped = doubled.replace("'", "\\'")
-            quotes = len(escaped) - len(doubled)
-            last[0] = (s, escaped, quotes)
+        escaped, quotes = _LITERAL_ESCAPES.get(id(s)) or _escape(s)
         if _vlen(env[dst]) + len(escaped) > _MAX_VALUE_LEN:
             return plain(run)
         # 1 for the final check; per character 6, or 5 for a quote, which

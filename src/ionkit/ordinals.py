@@ -110,9 +110,13 @@ class Ordinal:
     why every public function whose result reaches ``_intern`` refuses any
     other argument with ``TypeError``. Ordinals are immutable, and pickling
     or copying one gives back the interned object.
+
+    Besides its terms an ordinal keeps its depth, set when it is built, and
+    its surface text in ``_text``: ``None`` until :func:`format_ordinal` first
+    formats it, then that ``str``, which lives exactly as long as the ordinal.
     """
 
-    __slots__ = ("terms", "_depth", "__weakref__")
+    __slots__ = ("terms", "_depth", "_text", "__weakref__")
 
     terms: tuple[tuple[Ordinal, int], ...]
 
@@ -154,6 +158,11 @@ class Ordinal:
 
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # terms -> Ordinal
 _INTERN_LOCK = threading.Lock()
+# The slots' own descriptors: set through them, a new ordinal's fields skip
+# the immutability override of __setattr__.
+_SET_TERMS = Ordinal.terms.__set__
+_SET_DEPTH = Ordinal._depth.__set__
+_SET_TEXT = Ordinal._text.__set__
 
 
 def _intern(key: _Terms, check: Callable[[_Terms], None] | None = None) -> Ordinal:
@@ -165,22 +174,32 @@ def _intern(key: _Terms, check: Callable[[_Terms], None] | None = None) -> Ordin
     takes no lock: one dict look-up is atomic, and a dead weakref, whose
     ordinal is gone, counts as a miss. A miss looks again under the lock, so
     threads that race on it get one object.
+
+    Both look-ups read the table's own dict of key -> weakref, and a miss
+    stores a ``KeyedRef`` with the table's own removal callback, as
+    ``WeakValueDictionary.__setitem__`` does, without its method calls. The
+    table stays a ``WeakValueDictionary``, so a removal that falls while the
+    table is being iterated is still deferred, and committed, by the table;
+    the removal drops only a dead weakref, never the live one put in its place.
     """
-    ref = _INTERNED.data.get(key)  # the table's own dict of key -> weakref
+    data = _INTERNED.data
+    ref = data.get(key)
     if ref is not None:
         self = ref()
         if self is not None:
             return self
     with _INTERN_LOCK:
-        self = _INTERNED.get(key)
+        ref = data.get(key)
+        self = None if ref is None else ref()
         if self is None:
             if check is not None:
                 check(key)
             self = object.__new__(Ordinal)
-            object.__setattr__(self, "terms", key)
+            _SET_TERMS(self, key)
             # Depth grows with the order, so the leading exponent is the deepest.
-            object.__setattr__(self, "_depth", 1 + key[0][0]._depth if key else 0)
-            _INTERNED[key] = self
+            _SET_DEPTH(self, 1 + key[0][0]._depth if key else 0)
+            _SET_TEXT(self, None)
+            data[key] = weakref.KeyedRef(self, _INTERNED._remove, key)
     return self
 
 
@@ -465,14 +484,27 @@ def _format_exp(e: Ordinal) -> str:
 
 
 def format_ordinal(a: Ordinal) -> str:
-    """Canonical surface syntax; parse_ordinal(format_ordinal(a)) == a."""
-    if not a.terms:
+    """Canonical surface syntax; parse_ordinal(format_ordinal(a)) == a.
+
+    The text is built on the first call and kept in the ordinal, so a later
+    call returns the same ``str`` object.
+    """
+    text = a._text
+    if text is None:
+        text = _format_terms(a.terms)
+        _SET_TEXT(a, text)
+    return text
+
+
+def _format_terms(terms: _Terms) -> str:
+    """The surface syntax of the ordinal with ``terms``, built afresh."""
+    if not terms:
         return "0"
     parts: list[str] = []
-    for exp, coeff in a.terms:
+    for exp, coeff in terms:
         if not exp.terms:
             parts.append(str(coeff))
-        elif exp == ONE:
+        elif exp is ONE:
             parts.append("w" if coeff == 1 else f"w*{coeff}")
         else:
             base = f"w^{_format_exp(exp)}"

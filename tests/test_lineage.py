@@ -1,10 +1,14 @@
 import hashlib
 import json
 import random
+import re
 
+import hypothesis as hyp
 import pytest
+from hypothesis import strategies as st
 
 from conftest import random_ordinal
+from test_ordinals import ordinal_exprs
 import ionkit.lineage
 import ionkit.objlang
 from ionkit.lineage import (
@@ -20,6 +24,7 @@ from ionkit.lineage import (
     asexual_create,
     chain_stats,
     event_from_json,
+    event_log_text,
     event_to_json,
     multi_parent_create,
     nondeterministic_create,
@@ -30,7 +35,14 @@ from ionkit.lineage import (
 )
 from ionkit.notation import compile_ordinal
 from ionkit.objlang import Fuel, evaluate, parse, serialize
-from ionkit.ordinals import ZERO, descent_walk, format_ordinal, from_int, parse_ordinal
+from ionkit.ordinals import (
+    ZERO,
+    _format_terms,
+    descent_walk,
+    format_ordinal,
+    from_int,
+    parse_ordinal,
+)
 
 
 def o(text):
@@ -293,6 +305,33 @@ def test_run_matches_reference_loop():
         assert run_lineage(cfg) == _reference_run_lineage(cfg), cfg
 
 
+# Small ordinals, 0 among them, make ties likely: a multi-parent child of a
+# parent 0 with bonus 0 that does not descend equals the best agent.
+_small_ordinals = st.sampled_from([ZERO, from_int(1), from_int(2), o("w")])
+lineage_configs = st.builds(
+    LineageConfig,
+    st.lists(st.one_of(_small_ordinals, ordinal_exprs), min_size=1, max_size=4).map(tuple),
+    st.one_of(st.just(AsexualOnly()), st.integers(1, 5).map(MixedEveryK)),
+    st.integers(0, 2**32),
+    st.integers(1, 80),
+    st.builds(MultiParentRule, st.one_of(_small_ordinals, ordinal_exprs), st.integers(0, 4)),
+)
+
+
+@hyp.given(lineage_configs)
+def test_run_matches_reference_loop_on_hypothesis_configs(cfg):
+    log = run_lineage(cfg)
+    assert log == _reference_run_lineage(cfg)
+    # the log text, encoded afresh by json.dumps, and the series chain_stats formats
+    assert event_log_text(log) == "".join(
+        json.dumps(event_to_json(ev), separators=(",", ":")) + "\n" for ev in log
+    )
+    assert chain_stats(log).intelligence_time_series == tuple(
+        (ev.event_index, _format_terms(ev.child_intelligence.terms))
+        for ev in log if ev.kind is not EventKind.STERILE
+    )
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         LineageConfig(founder_intelligences=(), policy=AsexualOnly())
@@ -300,6 +339,26 @@ def test_config_validation():
         LineageConfig(founder_intelligences=(ZERO,), policy=AsexualOnly(), max_events=0)
     with pytest.raises(ValueError):
         MixedEveryK(0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LineageConfig((o("w"),), policy="mixed:3", max_events=5),
+     "policy must be AsexualOnly() or MixedEveryK(k)"),
+    (lambda: LineageConfig((o("w"),), policy=MixedEveryK),
+     "policy must be AsexualOnly() or MixedEveryK(k)"),
+    (lambda: LineageConfig((o("w"), 3)), "founder intelligences must be Ordinals"),
+    (lambda: LineageConfig(("w",)), "founder intelligences must be Ordinals"),
+    (lambda: LineageConfig((o("w"),), multi_parent_rule=None),
+     "multi_parent_rule must be a MultiParentRule"),
+    (lambda: MultiParentRule(bonus=1), "bonus must be an Ordinal"),
+    (lambda: MultiParentRule(bonus="w"), "bonus must be an Ordinal"),
+], ids=["policy-str", "policy-class", "founder-int", "founder-str", "rule-none",
+        "bonus-int", "bonus-str"])
+def test_config_refuses_a_mistyped_field(make, message):
+    # A str policy used to run as AsexualOnly, and a founder 3 or a bonus 1
+    # failed only in the middle of the run.
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @pytest.mark.parametrize("make, message", [

@@ -1,16 +1,18 @@
 import collections
+import gc
 import hashlib
 import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
 from ionkit import objlang
-from ionkit.notation import _DRIVER_CODE_TEXT, _a0_program, _esc_stmts, compile_ordinal
+from ionkit.notation import _DRIVER_CODE_TEXT, _esc_stmts, compile_ordinal
 from ionkit.objlang import (
     Assign,
     Concat,
@@ -843,7 +845,8 @@ def test_escape_loop_leaves_newlines_raw():
 
 
 # ---------------------------------------------------------------------------
-# a fused escape loop reuses its last result for the very same str object
+# a fused escape loop reuses the escape of a skeleton's literal, made once,
+# for that very str object, and keeps nothing else
 # ---------------------------------------------------------------------------
 
 def _escape_twice(s: str, again: Expr) -> Program:
@@ -875,6 +878,8 @@ def _escape_twice(s: str, again: Expr) -> Program:
     ids=["same_object", "equal_distinct", "quotes_and_backslashes", "dst_too_long"],
 )
 def test_escape_memo_matches_the_passes_at_every_step_budget(s, again, limit, monkeypatch):
+    # s stands for a skeleton's literal: its escape is in the table
+    monkeypatch.setitem(objlang._LITERAL_ESCAPES, id(s), objlang._escape(s))
     if limit is not None:
         # >ab\'c fits the limit; the second escape's 11 characters do not
         monkeypatch.setattr(objlang, "_MAX_VALUE_LEN", limit)
@@ -892,55 +897,79 @@ def test_escape_memo_matches_the_passes_at_every_step_budget(s, again, limit, mo
     assert (fast, plain) == full
 
 
-def _memo_of(do_escape) -> list:
-    """The one-entry memo list of a fused escape loop's closure."""
-    cells = dict(zip(do_escape.__code__.co_freevars, do_escape.__closure__))
-    return cells["last"].cell_contents
-
-
-def test_escape_memo_hits_only_on_the_very_same_object():
+def test_escape_memo_hits_only_on_the_very_same_object(monkeypatch):
     do_escape = objlang._compile_stmt(escape_loop("W", "H", "D"), {"W", "D"})
-    memo = _memo_of(do_escape)
 
     def escape(s: str):
         run = objlang._Run(Fuel(10**4, 1))
-        run.env.update(W=s, H="h", D=">")
+        run.env.update(W=s, H="h", D="")
         do_escape(run)
-        return objlang._to_str(run.env["D"]), run.env["H"], run.steps
+        return run.env["D"], run.env["H"], run.steps
 
     s = "a'b\\c" * 3
+    entry = objlang._escape(s)
+    assert entry == ("a\\'b\\\\c" * 3, 3)
     first = escape(s)
-    assert first == (">" + "a\\'b\\\\c" * 3, "c", 1 + 6 * 15 - 3)
-    entry = memo[0]
-    assert entry == (s, "a\\'b\\\\c" * 3, 3) and entry[0] is s
-    assert escape(s) == first and memo[0] is entry  # a hit leaves the entry as it was
+    assert first == (entry[0], "c", 1 + 6 * 15 - 3)
+    assert first[0] is not entry[0]  # not a skeleton literal: escaped afresh
+    monkeypatch.setitem(objlang._LITERAL_ESCAPES, id(s), entry)
+    hit = escape(s)
+    assert hit == first and hit[0] is entry[0]  # D was empty, so it is the table's str
     t = "".join(list(s))
     assert t == s and t is not s
-    assert escape(t) == first and memo[0][0] is t  # a miss replaces it
+    miss = escape(t)
+    assert miss == first and miss[0] is not entry[0]  # an equal but distinct str misses
 
 
-def _skeleton_escape_memos() -> dict:
-    """The memo of each escape closure the registered skeletons hold, by skeleton."""
-    memos = {}
-    for _, (fn,), stmts in objlang._SKELETON_FNS.values():
-        consts = (c.cell_contents for c in fn.__closure__)
-        memos[stmts] = [_memo_of(f) for f in consts if getattr(f, "__name__", "") == "do_escape"]
-    return memos
+def _literal_escapes_of_the_skeletons() -> dict:
+    escapes = {}
+    for _, _, stmts in objlang._SKELETON_FNS.values():
+        for s in stmts:
+            if type(s) is Assign and type(s.expr) is Literal:
+                escapes[id(s.expr.text)] = objlang._escape(s.expr.text)
+    return escapes
 
 
-def test_a_later_run_replaces_each_skeleton_memo():
-    memos = _skeleton_escape_memos()
-    assert sorted(map(len, memos.values())) == [1, 3]
-    (a0,) = next(ms for ms in memos.values() if len(ms) == 1)
-    # the A0 loop escapes X, its first statement's literal, once per output
-    for base in ("Print('a');End", "Print('b\\\\');End"):
-        p = _a0_program(base)
-        evaluate(p, Fuel(10**4, 1))
-        assert len(a0) == 1 and a0[0][0] is p.statements[0].expr.text
-    # the driver escapes its own source text, the skeleton's literal L
-    evaluate(compile_ordinal(parse_ordinal("w^w")), Fuel(10**5, 4))
-    driver = next(ms for ms in memos.values() if len(ms) == 3)
-    assert sum(m[0][0] is _DRIVER_CODE_TEXT for m in driver) == 1
+def test_escape_memo_holds_only_the_skeleton_literals(monkeypatch):
+    expected = _literal_escapes_of_the_skeletons()
+    assert objlang._LITERAL_ESCAPES == expected
+    assert id(_DRIVER_CODE_TEXT) in expected  # the driver's L
+    escaped, real = [], objlang._escape
+
+    def counted(s):
+        escaped.append(s)
+        return real(s)
+
+    monkeypatch.setattr(objlang, "_escape", counted)
+    # w^2 runs the driver's L escape and its wrap loops; w*2 the A0 loop
+    for text in ("w^2", "w*2"):
+        evaluate(compile_ordinal(parse_ordinal(text)), Fuel(10**6, 4))
+    assert escaped and not any(s is _DRIVER_CODE_TEXT for s in escaped)
+    assert objlang._LITERAL_ESCAPES == expected
+
+
+@pytest.mark.parametrize(
+    "text, fuel, longest",
+    [("w^2*3+w", Fuel(10**7, 16), 10**6), ("w^2", Fuel(10**7, 12), 5 * 10**4)],
+    ids=["a0", "driver_wraps"],
+)
+def test_escape_loops_keep_nothing_after_a_run(text, fuel, longest):
+    # w^2*3+w is an A0 loop over the 1 MB source of w^2*3; w^2 re-quotes its
+    # member n with the driver's wrap loops n times.
+    p = compile_ordinal(parse_ordinal(text))
+    evaluate(p, Fuel(10, 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = evaluate(p, fuel)
+        assert max(map(len, trace.outputs)) > longest
+        del trace
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**16, kept
 
 
 def test_shared_escape_memos_stay_consistent_across_threads():

@@ -13,6 +13,7 @@ import pickle
 import random
 import sys
 import threading
+import weakref
 
 import hypothesis as hyp
 import pytest
@@ -83,10 +84,12 @@ def test_stored_depth_matches_reference(a):
 
 @hyp.given(ordinal_exprs)
 def test_pickle_and_copy_return_the_interned_object(a):
+    text = format_ordinal(a)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(a, protocol)) is a
     assert copy.copy(a) is a
     assert copy.deepcopy(a) is a
+    assert format_ordinal(a) is text  # the kept text too
 
 
 def test_ordinals_are_immutable():
@@ -96,6 +99,61 @@ def test_ordinals_are_immutable():
     with pytest.raises(AttributeError):
         del a.terms
     assert format_ordinal(a) == "w^2+1"
+
+
+def _reference_format(a) -> str:
+    """format_ordinal from before an ordinal kept its text, _format_exp inlined: the reference."""
+    if not a.terms:
+        return "0"
+    parts = []
+    for exp, coeff in a.terms:
+        if not exp.terms:
+            parts.append(str(coeff))
+        elif exp == ONE:
+            parts.append("w" if coeff == 1 else f"w*{coeff}")
+        else:
+            s = _reference_format(exp)
+            if len(exp.terms) > 1 or (exp.terms and exp.terms[0][0].terms and exp.terms[0][1] > 1):
+                s = f"({s})"
+            base = f"w^{s}"
+            parts.append(base if coeff == 1 else f"{base}*{coeff}")
+    return "+".join(parts)
+
+
+@hyp.given(ordinal_exprs)
+def test_format_ordinal_is_built_once_and_kept_with_the_ordinal(a):
+    text = format_ordinal(a)
+    assert text == _reference_format(a)
+    assert ordinals._format_terms(a.terms) == text  # built afresh, the same text
+    assert format_ordinal(a) is text and a._text is text
+    assert parse_ordinal(text) is a
+
+
+def test_the_text_lives_exactly_as_long_as_its_ordinal():
+    text = "w^(w*7+3)*5+w^9*2+17"
+    a = parse_ordinal(text)
+    key, alive = a.terms, weakref.ref(a)
+    assert a._text is None  # nothing has formatted it yet
+    first = format_ordinal(a)
+    assert first == text and a._text is first
+    with pytest.raises(AttributeError):
+        a._text = "w"
+    del a
+    gc.collect()
+    assert alive() is None and key not in ordinals._INTERNED.data
+    b = parse_ordinal(text)  # built anew: its text is built anew too
+    assert b._text is None
+    again = format_ordinal(b)
+    assert again == first and again is not first
+
+
+def test_a_miss_stores_a_keyed_ref_with_the_tables_own_callback():
+    a = parse_ordinal("w^(w*8+3)*5+w^9*2+19")
+    ref = ordinals._INTERNED.data[a.terms]
+    assert type(ref) is weakref.KeyedRef
+    assert ref() is a and ref.key is a.terms
+    assert ref.__callback__ is ordinals._INTERNED._remove
+    assert ordinals._INTERNED[a.terms] is a
 
 
 def test_cmp_matches_reference_on_criterion_5_walks():
@@ -170,6 +228,17 @@ def test_threads_building_the_same_ordinals_get_one_object():
         first = results[0][i]
         assert format_ordinal(first) == text
         assert all(r[i] is first for r in results)
+
+
+def test_threads_formatting_the_same_fresh_ordinals_agree_on_the_text():
+    # Built and not yet formatted, so the threads race on each first format.
+    rng = random.Random(2027)
+    held = [random_ordinal(rng, 4) for _ in range(500)]
+    results = _race(lambda: [format_ordinal(a) for a in held])
+    for i, a in enumerate(held):
+        assert all(r[i] == results[0][i] for r in results)
+        assert results[0][i] == _reference_format(a)
+        assert format_ordinal(a) is a._text
 
 
 def _walk_texts(seed: int, count: int) -> list[str]:
