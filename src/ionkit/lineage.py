@@ -158,6 +158,8 @@ class LineageConfig:
             raise TypeError("policy must be AsexualOnly() or MixedEveryK(k)")
         if not isinstance(self.multi_parent_rule, MultiParentRule):
             raise TypeError("multi_parent_rule must be a MultiParentRule")
+        if type(self.rng_seed) is not int:
+            raise TypeError("rng_seed must be an int")
         _check_int(self.max_events, "max_events", 1)
 
 

@@ -158,13 +158,11 @@ def _check_ident(name: str) -> None:
         raise ValueError(f"identifier {name!r} is a reserved word")
 
 
-_NON_LITERAL_CHAR_RE = re.compile(r"[^ -~\n]")
+_LITERAL_BYTES = bytes(range(32, 127)) + b"\n"  # the literal alphabet
 
 
-def _check_literal_text(text: str) -> None:
-    bad = _NON_LITERAL_CHAR_RE.search(text)
-    if bad:
-        raise ValueError(f"literal contains non-printable character {bad.group()!r}")
+def _is_literal_text(text: str) -> bool:  # a non-str is a TypeError
+    return str.isascii(text) and not text.encode("ascii").translate(None, _LITERAL_BYTES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +170,9 @@ class Literal:
     text: str
 
     def __post_init__(self) -> None:
-        _check_literal_text(self.text)
+        if not _is_literal_text(self.text):
+            bad = next(c for c in self.text if c != "\n" and not " " <= c <= "~")
+            raise ValueError(f"literal contains non-printable character {bad!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,11 +292,19 @@ def concat(*parts: Expr) -> Expr:
 # serialization
 # ---------------------------------------------------------------------------
 
+def _codec_escape(text: str) -> str:
+    # On the literal alphabet the codec escapes exactly \ and newline.
+    return text.encode("unicode_escape").decode("ascii")
+
+
 def escape_literal(text: str) -> str:
     """Escape literal text for embedding between single quotes.
 
-    Backslashes are doubled first so the other escapes stay unambiguous.
+    On the literal alphabet (printable ASCII and newline) of every literal and
+    value this is one codec pass plus the quote replace; other text takes three.
     """
+    if _is_literal_text(text):
+        return _codec_escape(text).replace("'", "\\'")
     return text.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\n")
 
 
@@ -382,9 +390,11 @@ def _emit_stmt(s: Statement, parts: list[str], depth: int) -> None:
 def serialize(p: Program) -> str:
     """Emit the canonical source text of ``p`` (no whitespace, trailing End)."""
     parts: list[str] = []
-    for s in p.statements:
+    # A skeleton's very statements after the first (as parse returns them) emit its text.
+    tail = _SKELETON_TEXTS.get(tuple(map(id, p.statements[1:])))
+    for s in p.statements if tail is None else p.statements[:1]:
         _emit_stmt(s, parts, 0)
-    parts.append("End")
+    parts.append("End" if tail is None else tail)
     return "".join(parts)
 
 
@@ -401,6 +411,7 @@ def serialize(p: Program) -> str:
 _SKELETON_STMTS: dict[str, tuple[Statement, ...]] = {}
 # ids -> (names assigned before the skeleton, (its generated function,), its statements)
 _SKELETON_FNS: dict[tuple[int, ...], tuple[frozenset[str], tuple, tuple[Statement, ...]]] = {}
+_SKELETON_TEXTS: dict[tuple[int, ...], str] = {}  # the same ids -> the text
 # id of each text a skeleton assigns as a top-level literal -> its escape and
 # count of quotes (see _fuse_escape_loop). The skeleton's statements keep the
 # text alive, so its id names no other object.
@@ -421,6 +432,7 @@ def _register_skeleton(stmts: tuple[Statement, ...], names_before: set[str]) -> 
     for s in stmts:
         if type(s) is Assign and type(s.expr) is Literal:
             _LITERAL_ESCAPES[id(s.expr.text)] = _escape(s.expr.text)
+    _SKELETON_TEXTS[tuple(map(id, stmts))] = text
     _SKELETON_FNS[tuple(map(id, stmts))] = (
         frozenset(names_before),
         (_skeleton_function(stmts),),
@@ -626,10 +638,8 @@ class _Parser:
         self.pos = end + 1
         body = self.src[start:end]
         if "\\" in body:
-            # A body holds no NUL, so NUL can stand for an escaped backslash
-            # while the other two escapes are undone.
-            body = body.replace("\\\\", "\0").replace("\\'", "'").replace("\\n", "\n")
-            body = body.replace("\0", "\\")
+            # Printable ASCII and the escapes \' \\ \n: the codec undoes them exactly.
+            body = body.encode("ascii").decode("unicode_escape")
         return Literal(body)
 
     def cond(self) -> Cond:
@@ -1073,8 +1083,9 @@ def _text_at(v) -> tuple[str, int]:
 
 
 def _escape(s: str) -> tuple[str, int]:
-    """``s`` with backslashes doubled and quotes backslashed, and its count of quotes."""
-    doubled = s.replace("\\", "\\\\")
+    """Value ``s`` (so over the literal alphabet) escaped line by line as by
+    escape_literal, newlines kept raw, and its count of quotes."""
+    doubled = "\n".join(map(_codec_escape, s.split("\n"))) if "\n" in s else _codec_escape(s)
     escaped = doubled.replace("'", "\\'")
     return escaped, len(escaped) - len(doubled)
 

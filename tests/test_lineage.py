@@ -352,11 +352,15 @@ def test_config_validation():
      "multi_parent_rule must be a MultiParentRule"),
     (lambda: MultiParentRule(bonus=1), "bonus must be an Ordinal"),
     (lambda: MultiParentRule(bonus="w"), "bonus must be an Ordinal"),
+    (lambda: LineageConfig((o("w"),), rng_seed=None), "rng_seed must be an int"),
+    (lambda: LineageConfig((o("w"),), rng_seed=True), "rng_seed must be an int"),
+    (lambda: LineageConfig((o("w"),), rng_seed=1.0), "rng_seed must be an int"),
 ], ids=["policy-str", "policy-class", "founder-int", "founder-str", "rule-none",
-        "bonus-int", "bonus-str"])
+        "bonus-int", "bonus-str", "seed-none", "seed-bool", "seed-float"])
 def test_config_refuses_a_mistyped_field(make, message):
     # A str policy used to run as AsexualOnly, and a founder 3 or a bonus 1
-    # failed only in the middle of the run.
+    # failed only in the middle of the run. A None seed drew from the OS, so
+    # one config gave a new log on every run, and True ran as seed 1.
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         make()
 

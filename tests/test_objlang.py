@@ -12,7 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ionkit import objlang
-from ionkit.notation import _DRIVER_CODE_TEXT, _esc_stmts, compile_ordinal
+from ionkit.notation import _DRIVER_CODE_TEXT, _esc_stmts, compile_ordinal, source_of
 from ionkit.objlang import (
     Assign,
     Concat,
@@ -757,11 +757,31 @@ def test_escape_fusion_matches_plain_on_corpus(corpus200):
             assert fast == plain, (a, fuel)
 
 
-@pytest.mark.parametrize("text, max_outputs", [("w*2", 2), ("w^w", 1)], ids=["a0", "driver"])
-def test_escape_fusion_matches_plain_at_every_step_budget(text, max_outputs):
+# Two escapes of texts with raw newlines, quotes and backslashes: the second
+# walks the first's output and a trailing newline.
+_NEWLINE_ESCAPES = Program((
+    Assign("W", Literal("a\nb\\c\n'd\n\n")),
+    Assign("D", Literal(">")),
+    escape_loop("W", "H", "D"),
+    Print(Var("D")),
+    Assign("W", concat(Var("D"), Literal("\n"))),
+    escape_loop("W", "H", "D"),
+    Print(Var("D")),
+))
+
+
+@pytest.mark.parametrize(
+    "p, max_outputs",
+    [
+        (compile_ordinal(parse_ordinal("w*2")), 2),
+        (compile_ordinal(parse_ordinal("w^w")), 1),
+        (_NEWLINE_ESCAPES, 2),
+    ],
+    ids=["a0", "driver", "raw_newlines"],
+)
+def test_escape_fusion_matches_plain_at_every_step_budget(p, max_outputs):
     # w*2 escapes the source of w (quotes and backslashes) on the A0 path;
     # w^w builds its first output with the driver's wrap loops.
-    p = compile_ordinal(parse_ordinal(text))
     full = evaluate(p, Fuel(10**7, max_outputs))
     assert len(full.outputs) == max_outputs
     for k in range(1, full.steps_used + 1):
@@ -842,6 +862,74 @@ def test_escape_loop_leaves_newlines_raw():
     assert fast == plain
     assert fast.outputs == ("a\nb\\'",)
     assert fast.outputs[0] != escape_literal("a\nb'")
+
+
+# ---------------------------------------------------------------------------
+# escapes and the parser's unescape run through the unicode_escape codec; the
+# reference is the chains of str.replace they replaced, copied verbatim
+# ---------------------------------------------------------------------------
+
+def _chain_escape(s: str) -> tuple[str, int]:
+    doubled = s.replace("\\", "\\\\")
+    escaped = doubled.replace("'", "\\'")
+    return escaped, len(escaped) - len(doubled)
+
+
+def _chain_escape_literal(text: str) -> str:
+    return text.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\n")
+
+
+def _chain_unescape(body: str) -> str:
+    body = body.replace("\\\\", "\0").replace("\\'", "'").replace("\\n", "\n")
+    return body.replace("\0", "\\")
+
+
+_printable = st.characters(min_codepoint=32, max_codepoint=126)
+# texts over the literal alphabet, half their characters \ ' or newline
+alphabet_texts = st.text(st.one_of(st.sampled_from("\\'\n"), _printable), max_size=80)
+# literal bodies as the parser admits them: escapes and other printable ASCII
+literal_bodies = st.lists(
+    st.one_of(st.sampled_from(["\\'", "\\\\", "\\n"]), _printable.filter(lambda c: c not in "'\\")),
+    max_size=60,
+).map("".join)
+
+
+def _parsed_literal(body: str) -> str:
+    (stmt,) = parse(f"Print('{body}');End").statements
+    return stmt.expr.text
+
+
+@hyp.given(alphabet_texts)
+def test_codec_escapes_match_the_replace_chains(text):
+    assert objlang._escape(text) == _chain_escape(text)
+    assert escape_literal(text) == _chain_escape_literal(text)
+    assert _parsed_literal(escape_literal(text)) == text
+
+
+@hyp.given(literal_bodies)
+def test_codec_unescape_matches_the_replace_chain(body):
+    assert _parsed_literal(body) == _chain_unescape(body)
+
+
+@pytest.mark.parametrize("text", ["w^2*3+w*4", "w^3*2+w^2*3+w*5"])
+def test_codec_escapes_match_the_replace_chains_on_deep_wrapped_sources(text):
+    source = source_of(parse_ordinal(text))
+    assert source.count("\\") > len(source) // 2  # mostly backslashes
+    # the source as it is, and cut into lines at every statement
+    for s in (source, source.replace(";", ";\n")):
+        assert objlang._escape(s) == _chain_escape(s)
+        body = escape_literal(s)
+        assert body == _chain_escape_literal(s)
+        assert _parsed_literal(body) == _chain_unescape(body) == s
+    data = parse(source).statements[0].expr.text  # its first statement's literal
+    assert source.startswith(f"X='{_chain_escape_literal(data)}';")
+
+
+@pytest.mark.parametrize("text", ["\t", "a\rb", "\x7f", "\xe9", "\0", "\\\t'\n\r\x7f\xe9\0\\x41"])
+def test_escape_literal_outside_the_alphabet_keeps_the_chain_bytes(text):
+    assert escape_literal(text) == _chain_escape_literal(text)
+    with pytest.raises(ValueError, match="^literal contains non-printable character"):
+        Literal(text)
 
 
 # ---------------------------------------------------------------------------

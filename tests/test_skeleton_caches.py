@@ -52,6 +52,7 @@ def empty_skeleton_tables():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(objlang, "_SKELETON_STMTS", {})
         m.setattr(objlang, "_SKELETON_FNS", {})
+        m.setattr(objlang, "_SKELETON_TEXTS", {})
         yield
 
 
@@ -207,6 +208,8 @@ def test_the_tables_hold_the_two_skeletons():
         ({"X"}, (_A0_WHILE,)),
         ({"C"}, _DRIVER_TAIL),
     ]
+    assert objlang._SKELETON_TEXTS.keys() == objlang._SKELETON_FNS.keys()
+    assert list(objlang._SKELETON_TEXTS.values()) == list(objlang._SKELETON_STMTS)
 
 
 def test_each_registered_text_parses_afresh_to_its_statements():
@@ -224,6 +227,28 @@ def test_parsed_and_compiled_programs_share_the_skeleton(text):
     assert len(parsed) == len(compiled) and all(map(operator.is_, parsed, compiled))
     # decompile peels the Print and A0 wraps down to one of the two skeletons
     assert decompile(parse(source_of(a))) == a
+
+
+def test_serialize_emits_the_skeleton_text_as_the_plain_emit_would(corpus200):
+    # A compiled program and a parsed source of more than one statement both
+    # end in a skeleton's very statements, so serialize emits its text.
+    hits = 0
+    for a in corpus200:
+        for p in (compile_ordinal(a), parse(source_of(a))):
+            if len(p.statements) > 1:
+                assert tuple(map(id, p.statements[1:])) in objlang._SKELETON_TEXTS
+                hits += 1
+            fast = serialize(p)
+            with empty_skeleton_tables():
+                plain = serialize(p)
+            assert fast == plain == source_of(a), a
+    assert hits > len(corpus200)
+    # equal statements that are not the skeleton's objects take the plain emit
+    p = compile_ordinal(parse_ordinal("w^2"))
+    with empty_skeleton_tables():
+        copy = parse(source_of(parse_ordinal("w^2")))
+    assert tuple(map(id, copy.statements[1:])) not in objlang._SKELETON_TEXTS
+    assert serialize(copy) == serialize(p)
 
 
 def _snapshot():
