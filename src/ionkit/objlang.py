@@ -391,7 +391,8 @@ def serialize(p: Program) -> str:
     """Emit the canonical source text of ``p`` (no whitespace, trailing End)."""
     parts: list[str] = []
     # A skeleton's very statements after the first (as parse returns them) emit its text.
-    tail = _SKELETON_TEXTS.get(tuple(map(id, p.statements[1:])))
+    skeleton = _SKELETON_FNS.get(tuple(map(id, p.statements[1:])))
+    tail = None if skeleton is None else skeleton[3]
     for s in p.statements if tail is None else p.statements[:1]:
         _emit_stmt(s, parts, 0)
     parts.append("End" if tail is None else tail)
@@ -405,13 +406,13 @@ def serialize(p: Program) -> str:
 # X='...') followed by one of two fixed skeletons. The notation module
 # registers both when it is imported; after that the two tables are only
 # read, by the parser (keyed on a skeleton's text, End included) and by the
-# compiler (keyed on the ids of a skeleton's statements).
+# compiler and serialize (keyed on the ids of a skeleton's statements).
 # ---------------------------------------------------------------------------
 
 _SKELETON_STMTS: dict[str, tuple[Statement, ...]] = {}
-# ids -> (names assigned before the skeleton, (its generated function,), its statements)
-_SKELETON_FNS: dict[tuple[int, ...], tuple[frozenset[str], tuple, tuple[Statement, ...]]] = {}
-_SKELETON_TEXTS: dict[tuple[int, ...], str] = {}  # the same ids -> the text
+# ids -> (names assigned before the skeleton, (its generated function,), its
+# statements, its text)
+_SKELETON_FNS: dict[tuple[int, ...], tuple[frozenset[str], tuple, tuple[Statement, ...], str]] = {}
 # id of each text a skeleton assigns as a top-level literal -> its escape and
 # count of quotes (see _fuse_escape_loop). The skeleton's statements keep the
 # text alive, so its id names no other object.
@@ -432,11 +433,11 @@ def _register_skeleton(stmts: tuple[Statement, ...], names_before: set[str]) -> 
     for s in stmts:
         if type(s) is Assign and type(s.expr) is Literal:
             _LITERAL_ESCAPES[id(s.expr.text)] = _escape(s.expr.text)
-    _SKELETON_TEXTS[tuple(map(id, stmts))] = text
     _SKELETON_FNS[tuple(map(id, stmts))] = (
         frozenset(names_before),
         (_skeleton_function(stmts),),
         stmts,
+        text,
     )
     return text
 
@@ -1083,9 +1084,10 @@ def _text_at(v) -> tuple[str, int]:
 
 
 def _escape(s: str) -> tuple[str, int]:
-    """Value ``s`` (so over the literal alphabet) escaped line by line as by
-    escape_literal, newlines kept raw, and its count of quotes."""
-    doubled = "\n".join(map(_codec_escape, s.split("\n"))) if "\n" in s else _codec_escape(s)
+    """Value ``s`` (so over the literal alphabet) escaped as by escape_literal
+    but with newlines kept raw, and its count of quotes. With a newline in
+    ``s`` the codec would escape it, so one replace doubles the backslashes."""
+    doubled = _codec_escape(s) if "\n" not in s else s.replace("\\", "\\\\")
     escaped = doubled.replace("'", "\\'")
     return escaped, len(escaped) - len(doubled)
 

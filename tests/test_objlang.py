@@ -864,6 +864,22 @@ def test_escape_loop_leaves_newlines_raw():
     assert fast.outputs[0] != escape_literal("a\nb'")
 
 
+def newline_escape_program(n: int) -> str:
+    """W='\\n' doubled n times, then an escape loop that walks its 2**n newlines."""
+    loop = serialize(Program((escape_loop("W", "H", "D"),)))[: -len("End")]
+    return "W='\\n';N='" + "I" * n + "';While(Not(Equals(N,''))){W=W+W;N=Tail(N);}D='';" + loop + "Print(D);End"
+
+
+def test_escaping_the_longest_value_of_newlines_is_one_pass():
+    # The fused loop escapes its whole text before it charges the steps, so
+    # 2**26 newlines must cost one replace, not a codec call per line.
+    assert evaluate(parse(newline_escape_program(3)), Fuel(1000, 1)).outputs == ("\n" * 8,)
+    start = time.perf_counter()
+    trace = evaluate(parse(newline_escape_program(26)), Fuel(1000, 1))
+    assert time.perf_counter() - start < 1
+    assert trace == Trace((), TraceStatus.FUEL_EXHAUSTED, 1000)
+
+
 # ---------------------------------------------------------------------------
 # escapes and the parser's unescape run through the unicode_escape codec; the
 # reference is the chains of str.replace they replaced, copied verbatim
@@ -1011,7 +1027,7 @@ def test_escape_memo_hits_only_on_the_very_same_object(monkeypatch):
 
 def _literal_escapes_of_the_skeletons() -> dict:
     escapes = {}
-    for _, _, stmts in objlang._SKELETON_FNS.values():
+    for _, _, stmts, _ in objlang._SKELETON_FNS.values():
         for s in stmts:
             if type(s) is Assign and type(s.expr) is Literal:
                 escapes[id(s.expr.text)] = objlang._escape(s.expr.text)

@@ -52,7 +52,6 @@ def empty_skeleton_tables():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(objlang, "_SKELETON_STMTS", {})
         m.setattr(objlang, "_SKELETON_FNS", {})
-        m.setattr(objlang, "_SKELETON_TEXTS", {})
         yield
 
 
@@ -208,8 +207,7 @@ def test_the_tables_hold_the_two_skeletons():
         ({"X"}, (_A0_WHILE,)),
         ({"C"}, _DRIVER_TAIL),
     ]
-    assert objlang._SKELETON_TEXTS.keys() == objlang._SKELETON_FNS.keys()
-    assert list(objlang._SKELETON_TEXTS.values()) == list(objlang._SKELETON_STMTS)
+    assert [v[3] for v in objlang._SKELETON_FNS.values()] == list(objlang._SKELETON_STMTS)
 
 
 def test_each_registered_text_parses_afresh_to_its_statements():
@@ -236,7 +234,7 @@ def test_serialize_emits_the_skeleton_text_as_the_plain_emit_would(corpus200):
     for a in corpus200:
         for p in (compile_ordinal(a), parse(source_of(a))):
             if len(p.statements) > 1:
-                assert tuple(map(id, p.statements[1:])) in objlang._SKELETON_TEXTS
+                assert tuple(map(id, p.statements[1:])) in objlang._SKELETON_FNS
                 hits += 1
             fast = serialize(p)
             with empty_skeleton_tables():
@@ -247,7 +245,7 @@ def test_serialize_emits_the_skeleton_text_as_the_plain_emit_would(corpus200):
     p = compile_ordinal(parse_ordinal("w^2"))
     with empty_skeleton_tables():
         copy = parse(source_of(parse_ordinal("w^2")))
-    assert tuple(map(id, copy.statements[1:])) not in objlang._SKELETON_TEXTS
+    assert tuple(map(id, copy.statements[1:])) not in objlang._SKELETON_FNS
     assert serialize(copy) == serialize(p)
 
 
