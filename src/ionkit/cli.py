@@ -43,14 +43,14 @@ from .notation import (
     verify,
 )
 from .lineage import (
-    AsexualOnly,
     EventKind,
     LineageConfig,
     LineageError,
-    MixedEveryK,
-    MultiParentRule,
+    _present,
     chain_stats,
+    config_from_json,
     event_log_text,
+    parse_policy,
     run_lineage,
     write_event_log,
 )
@@ -75,16 +75,10 @@ def _positive_int(text: str) -> int:
 
 
 def _policy(text: str):
-    if text == "asexual":
-        return AsexualOnly()
-    if text.startswith("mixed:"):
-        try:
-            return MixedEveryK(int(text.split(":", 1)[1]))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"bad mixed policy {text!r}; use mixed:<k>"
-            ) from None
-    raise argparse.ArgumentTypeError(f"unknown policy {text!r}; use asexual or mixed:<k>")
+    try:
+        return parse_policy(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _report(
@@ -217,70 +211,21 @@ def _cmd_hydra(args: argparse.Namespace) -> int:
     return 0
 
 
-_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
-
-
-def _config_field(data: dict, key: str, kind: type, low: int | None = None):
-    """``data[key]`` if it has JSON type ``kind`` and, given ``low``, is at
-    least ``low``; None when absent or null."""
-    value = data.get(key)
-    if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-        raise ValueError(f"config field {key!r} must be {_JSON_TYPES[kind]}")
-    if value is not None and low is not None and value < low:
-        raise ValueError(f"config field {key!r} must be an int >= {low}")
-    return value
-
-
-def _present(**fields) -> dict:
-    """The fields that are set, that is not None."""
-    return {key: value for key, value in fields.items() if value is not None}
-
-
-def _load_lineage_config(args: argparse.Namespace) -> LineageConfig | None:
+def _cmd_lineage(args: argparse.Namespace) -> int:
     # Every config field is checked, also one that a flag then overrides. Only
     # the fields a config or a flag sets are passed on, so the defaults are
     # LineageConfig's and MultiParentRule's own.
-    founders, fields = [], {}
+    fields = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        texts = _config_field(data, "founders", list) or []
-        if not all(isinstance(t, str) for t in texts):
-            raise ValueError("config field 'founders' must be a list of strings")
-        founders = [parse_ordinal(t) for t in texts]
-        policy = _config_field(data, "policy", str)
-        if policy is not None:
-            try:
-                policy = _policy(policy)
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"config field 'policy': {exc}") from None
-        seed = _config_field(data, "seed", int)
-        max_events = _config_field(data, "maxEvents", int, low=1)
-        rule = _config_field(data, "multiParentRule", dict)
-        if rule is not None:
-            bonus = _config_field(rule, "bonus", str)
-            rule = MultiParentRule(**_present(
-                bonus=None if bonus is None else parse_ordinal(bonus),
-                max_descent=_config_field(rule, "maxDescent", int, low=0),
-            ))
-        fields = _present(
-            policy=policy, rng_seed=seed, max_events=max_events, multi_parent_rule=rule
-        )
-    if args.founder:
-        founders = [parse_ordinal(f) for f in args.founder]
-    if not founders:
-        return None
-    flags = _present(policy=args.policy, rng_seed=args.seed, max_events=args.max_events)
-    return LineageConfig(tuple(founders), **(fields | flags))
-
-
-def _cmd_lineage(args: argparse.Namespace) -> int:
-    config = _load_lineage_config(args)
-    if config is None:
+        fields = config_from_json(json.loads(Path(args.config).read_text(encoding="utf-8")))
+    fields |= _present(
+        founder_intelligences=args.founder and tuple(map(parse_ordinal, args.founder)),
+        policy=args.policy, rng_seed=args.seed, max_events=args.max_events,
+    )
+    if not fields.get("founder_intelligences"):
         print("error: no founders given (use --founder or --config)", file=sys.stderr)
         return 2
-    log = run_lineage(config)
+    log = run_lineage(LineageConfig(**fields))
     if not args.out:
         sys.stdout.write(event_log_text(log))
         return 0

@@ -47,7 +47,9 @@ __all__ = [
     "AsexualOnly",
     "MixedEveryK",
     "Policy",
+    "parse_policy",
     "LineageConfig",
+    "config_from_json",
     "asexual_create",
     "nondeterministic_create",
     "multi_parent_create",
@@ -136,6 +138,18 @@ class MixedEveryK:
 
 
 Policy = Union[AsexualOnly, MixedEveryK]
+
+
+def parse_policy(text: str) -> Policy:
+    """The policy that ``asexual`` or ``mixed:<k>`` names; ``ValueError`` otherwise."""
+    if text == "asexual":
+        return AsexualOnly()
+    if not text.startswith("mixed:"):
+        raise ValueError(f"unknown policy {text!r}; use asexual or mixed:<k>")
+    try:
+        return MixedEveryK(int(text.removeprefix("mixed:")))
+    except ValueError:
+        raise ValueError(f"bad mixed policy {text!r}; use mixed:<k>") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,6 +403,14 @@ def _is_int(value: object) -> bool:
     return type(value) is int  # not a bool, not a float
 
 
+def _json_field(data: dict, where: str, key: str, ok: Callable[[object], bool], what: str):
+    """``data.get(key)`` if ``ok`` accepts it, else ``ValueError`` naming the field."""
+    value = data.get(key)
+    if not ok(value):
+        raise ValueError(f"{where} field {key!r} must be {what}")
+    return value
+
+
 # Each field of an event's JSON object: the test its value must pass, and
 # what the error says it must be.
 _EVENT_FIELDS = (
@@ -411,8 +433,7 @@ def event_from_json(data: dict) -> LineageEvent:
     if not isinstance(data, dict):
         raise ValueError("event must be a JSON object")
     for key, ok, what in _EVENT_FIELDS:
-        if not ok(data.get(key)):
-            raise ValueError(f"event field {key!r} must be {what}")
+        _json_field(data, "event", key, ok, what)
     return LineageEvent(
         EventKind(data["kind"]),
         data["childId"],
@@ -421,6 +442,48 @@ def event_from_json(data: dict) -> LineageEvent:
         data["seedUsed"],
         data["eventIndex"],
     )
+
+
+def config_from_json(data: dict) -> dict:
+    """The :class:`LineageConfig` keyword arguments that a JSON config sets: an
+    absent or null field is left out, so the library's default applies. A field
+    of the wrong JSON type or range raises ``ValueError`` naming it."""
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
+
+    def field(obj: dict, key: str, kind: type, what: str, least: int | None = None):
+        value = _json_field(obj, "config", key, lambda v: v is None or type(v) is kind, what)
+        if value is not None and least is not None:
+            _json_field(obj, "config", key, lambda v: v >= least, f"an int >= {least}")
+        return value
+
+    founders = field(data, "founders", list, "a list")
+    if founders is not None:
+        _json_field(data, "config", "founders", lambda v: all(type(t) is str for t in v),
+                    "a list of strings")
+        founders = tuple(map(parse_ordinal, founders))
+    policy = field(data, "policy", str, "a string")
+    if policy is not None:
+        try:
+            policy = parse_policy(policy)
+        except ValueError as exc:
+            raise ValueError(f"config field 'policy': {exc}") from None
+    seed = field(data, "seed", int, "an integer")
+    max_events = field(data, "maxEvents", int, "an integer", least=1)
+    rule = field(data, "multiParentRule", dict, "an object")
+    if rule is not None:
+        bonus = field(rule, "bonus", str, "a string")
+        rule = MultiParentRule(**_present(
+            bonus=None if bonus is None else parse_ordinal(bonus),
+            max_descent=field(rule, "maxDescent", int, "an integer", least=0),
+        ))
+    return _present(founder_intelligences=founders, policy=policy, rng_seed=seed,
+                    max_events=max_events, multi_parent_rule=rule)
+
+
+def _present(**fields) -> dict:
+    """The fields that are set, that is not None."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 # One encoder for every line; json.dumps with separators builds a new one per call.
@@ -437,8 +500,5 @@ def write_event_log(log: Sequence[LineageEvent], path: str | Path) -> None:
 
 
 def read_event_log(path: str | Path) -> list[LineageEvent]:
-    out: list[LineageEvent] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(event_from_json(json.loads(line)))
-    return out
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [event_from_json(json.loads(line)) for line in lines if line.strip()]

@@ -64,7 +64,6 @@ from .objlang import (
     _register_skeleton,
     _unary_scan,
     concat,
-    escape_literal,
     escape_loop,
     evaluate,
     parse,
@@ -412,12 +411,6 @@ class SourceTooLargeError(LimitError):
         )
 
 
-def _check_source_size(a: Ordinal) -> None:
-    size = source_size(a, _MAX_VALUE_LEN)
-    if size > _MAX_VALUE_LEN:
-        raise SourceTooLargeError(a, size, _MAX_VALUE_LEN)
-
-
 @lru_cache(maxsize=None)
 def compile_ordinal(a: Ordinal) -> Program:
     """Canonical notation program whose value is exactly ``a``.
@@ -427,7 +420,9 @@ def compile_ordinal(a: Ordinal) -> Program:
     Raises :class:`SourceTooLargeError`, before anything is built or cached,
     when that text would be longer than the evaluator's string limit.
     """
-    _check_source_size(a)
+    size = source_size(a, _MAX_VALUE_LEN)
+    if size > _MAX_VALUE_LEN:
+        raise SourceTooLargeError(a, size, _MAX_VALUE_LEN)
     kind = classify(a)
     if kind is Kind.ZERO:
         return Program(())
@@ -441,21 +436,9 @@ def compile_ordinal(a: Ordinal) -> Program:
 
 @lru_cache(maxsize=None)
 def source_of(a: Ordinal) -> str:
-    """``serialize(compile_ordinal(a))``, memoized.
-
-    The text is put together from the skeletons' text, serialized once, and
-    the source of the ordinal below, so no program is built or serialized.
-    Raises :class:`SourceTooLargeError` as :func:`compile_ordinal` does.
-    """
-    _check_source_size(a)
-    kind = classify(a)
-    if kind is Kind.ZERO:
-        return "End"
-    if kind is Kind.SUCCESSOR:
-        return f"Print('{escape_literal(source_of(predecessor(a)))}');End"
-    if a.terms[-1][0] == ONE:
-        return f"X='{escape_literal(source_of(fundamental_sequence(a, 0)))}';{_A0_REST}"
-    return f"C='{_encode(a)}';{_DRIVER_TAIL_TEXT}"
+    """``serialize(compile_ordinal(a))``, memoized; serialize emits the skeleton's stored
+    text. Raises :class:`SourceTooLargeError` as :func:`compile_ordinal` does."""
+    return serialize(compile_ordinal(a))
 
 
 # A source is End or a driver frame around an encoding (no quote or backslash),

@@ -404,12 +404,11 @@ def serialize(p: Program) -> str:
 #
 # Every program the notation compiler emits is a data assignment (C='...' or
 # X='...') followed by one of two fixed skeletons. The notation module
-# registers both when it is imported; after that the two tables are only
-# read, by the parser (keyed on a skeleton's text, End included) and by the
-# compiler and serialize (keyed on the ids of a skeleton's statements).
+# registers both when it is imported; after that the tables below are only
+# read. _SKELETON_FNS is keyed on the ids of a skeleton's statements, for the
+# compiler and serialize; the parser scans each entry's text, End included.
 # ---------------------------------------------------------------------------
 
-_SKELETON_STMTS: dict[str, tuple[Statement, ...]] = {}
 # ids -> (names assigned before the skeleton, (its generated function,), its
 # statements, its text)
 _SKELETON_FNS: dict[tuple[int, ...], tuple[frozenset[str], tuple, tuple[Statement, ...], str]] = {}
@@ -429,16 +428,11 @@ def _register_skeleton(stmts: tuple[Statement, ...], names_before: set[str]) -> 
     """
     text = serialize(Program(stmts))
     _compile_block(stmts, names_before)
-    _SKELETON_STMTS[text] = stmts
     for s in stmts:
         if type(s) is Assign and type(s.expr) is Literal:
             _LITERAL_ESCAPES[id(s.expr.text)] = _escape(s.expr.text)
-    _SKELETON_FNS[tuple(map(id, stmts))] = (
-        frozenset(names_before),
-        (_skeleton_function(stmts),),
-        stmts,
-        text,
-    )
+    fns = (_skeleton_function(stmts),)
+    _SKELETON_FNS[tuple(map(id, stmts))] = (frozenset(names_before), fns, stmts, text)
     return text
 
 
@@ -512,7 +506,7 @@ class _Parser:
         # ParseError comes from a fresh parse.
         self.skip_ws()
         rest_len = len(self.src) - self.pos
-        for text, stmts in _SKELETON_STMTS.items():
+        for *_, stmts, text in _SKELETON_FNS.values():
             if len(text) == rest_len and self.src.startswith(text, self.pos):
                 return Program(first + stmts)
         return Program(first + self.top_level())
@@ -799,7 +793,7 @@ def _to_str(v) -> str:
     return v.flat
 
 
-# The longest string value a run may build (64 MiB). notation.source_of refuses
+# The longest string value a run may build (64 MiB). notation.compile_ordinal refuses
 # a longer source, so a run can hold every source that the compiler builds.
 _MAX_VALUE_LEN = 1 << 26
 

@@ -457,6 +457,7 @@ def descent_walk(
     :class:`MaxLenExceededError` only if the caller's cap is hit first, and
     ``TypeError`` (from :func:`descend`) unless ``start`` is an Ordinal.
     """
+    _check_int(max_len, "max_len", 0)
     walk = [start]
     current = start
     while current is not ZERO:  # interned: the one ordinal with no terms
@@ -692,6 +693,7 @@ def hydra_trajectory(h: HydraTree, max_steps: int = 10**6) -> list[Ordinal]:
 
     Returns the ordinal value before each cut plus the final 0.
     """
+    _check_int(max_steps, "max_steps", 0)
     values = [hydra_to_ordinal(h)]
     stage = 1
     while h.children:

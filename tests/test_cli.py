@@ -295,12 +295,29 @@ def test_lineage_config_file(tmp_path, capsys):
     assert json.loads(lines[0])["kind"] == "founder"
 
 
+# Every way a config is refused, with its exact message: each names the field.
 @pytest.mark.parametrize("text, message", [
+    ('{"founders":["w"],"policy":"bogus"}',
+     "config field 'policy': unknown policy 'bogus'; use asexual or mixed:<k>"),
+    ('{"founders":["w"],"policy":"mixed:x"}',
+     "config field 'policy': bad mixed policy 'mixed:x'; use mixed:<k>"),
+    ('{"founders":["w"],"policy":"mixed:0"}',
+     "config field 'policy': bad mixed policy 'mixed:0'; use mixed:<k>"),
+    ('{"founders":["w"],"policy":5}', "config field 'policy' must be a string"),
+    ('{"founders":5}', "config field 'founders' must be a list"),
+    ('{"founders":[5]}', "config field 'founders' must be a list of strings"),
+    ('{"founders":["w"],"seed":"x"}', "config field 'seed' must be an integer"),
+    ('{"founders":["w"],"seed":[1]}', "config field 'seed' must be an integer"),
+    ('{"founders":["w"],"maxEvents":true}', "config field 'maxEvents' must be an integer"),
     ('{"founders":["w"],"maxEvents":0}', "config field 'maxEvents' must be an int >= 1"),
+    ('{"founders":["w"],"multiParentRule":5}',
+     "config field 'multiParentRule' must be an object"),
+    ('{"founders":["w"],"multiParentRule":{"bonus":3}}', "config field 'bonus' must be a string"),
     ('{"founders":["w"],"multiParentRule":{"maxDescent":-1}}',
      "config field 'maxDescent' must be an int >= 0"),
+    ('[1]', "config must be a JSON object"),
 ])
-def test_lineage_config_range_errors_name_the_key(text, message, tmp_path, capsys):
+def test_lineage_config_errors(text, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     assert main(["lineage", "--config", str(cfg)]) == 1

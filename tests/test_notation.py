@@ -140,7 +140,7 @@ def test_golden_compiled_sources(expr):
 
 
 def test_source_of_is_the_serialized_program(corpus200):
-    # source_of puts the text together without building the program
+    # source_of is the memoized text of compile_ordinal's program, member by member
     members = [fundamental_sequence(a, n) for a in corpus200 if classify(a) is Kind.LIMIT
                for n in range(3)]
     for a in corpus200 + members:

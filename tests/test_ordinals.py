@@ -247,6 +247,24 @@ def test_descent_walk_max_len():
         descent_walk(o("w^w"), lambda a: 9, max_len=5)
 
 
+# Each count follows one rule: a non-negative int, never a float or a bool.
+@pytest.mark.parametrize("count", [7.5, True, None, "9", -1])
+def test_walk_and_trajectory_refuse_a_count_that_is_not_an_int_of_at_least_0(count):
+    with pytest.raises(ValueError, match=r"^max_len must be an int >= 0$"):
+        descent_walk(o("w+3"), lambda a: 2, max_len=count)
+    with pytest.raises(ValueError, match=r"^max_steps must be an int >= 0$"):
+        hydra_trajectory(parse_hydra("((()))"), max_steps=count)
+
+
+def test_walk_and_trajectory_keep_their_caps_at_0():
+    assert descent_walk(ZERO, lambda a: 0, max_len=0) == [ZERO]
+    with pytest.raises(MaxLenExceededError, match="max_len=0"):
+        descent_walk(ONE, lambda a: 0, max_len=0)
+    assert hydra_trajectory(parse_hydra("()"), max_steps=0) == [ZERO]
+    with pytest.raises(MaxLenExceededError, match="within 0 steps"):
+        hydra_trajectory(parse_hydra("(())"), max_steps=0)
+
+
 # Walk lengths are Hardy-hierarchy sized: from w^w^w a constant picker of 10
 # needs ~10^10^10 steps, so boundedness can only hold per seeded run. Small
 # picker values keep realized walks short; termination itself is structural.

@@ -1,6 +1,6 @@
-"""The parser's and the compiler's skeleton tables change nothing a caller can
-see: every result and every error text equals the one computed with both
-tables empty. The tables hold the notation's two skeletons and are never
+"""The skeleton table, which the parser, the compiler and serialize read,
+changes nothing a caller can see: every result and every error text equals the
+one computed with it empty. It holds the notation's two skeletons and is never
 written after import."""
 
 import contextlib
@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from conftest import CORPUS_SEED
 from ionkit import objlang
 from ionkit.notation import (
+    _A0_REST,
     _A0_WHILE,
     _DRIVER_TAIL,
+    _DRIVER_TAIL_TEXT,
     compile_ordinal,
     decompile,
     source_of,
@@ -50,7 +52,6 @@ from test_objlang import OPEN_PROGRAMS, VERIFY_FUEL_LADDER, programs
 @contextlib.contextmanager
 def empty_skeleton_tables():
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(objlang, "_SKELETON_STMTS", {})
         m.setattr(objlang, "_SKELETON_FNS", {})
         yield
 
@@ -202,16 +203,14 @@ def test_a_first_statement_assigning_more_names_reuses_the_closures():
 # ---------------------------------------------------------------------------
 
 def test_the_tables_hold_the_two_skeletons():
-    assert list(objlang._SKELETON_STMTS.values()) == [(_A0_WHILE,), _DRIVER_TAIL]
-    assert [(v[0], v[2]) for v in objlang._SKELETON_FNS.values()] == [
-        ({"X"}, (_A0_WHILE,)),
-        ({"C"}, _DRIVER_TAIL),
+    assert [(v[0], v[2], v[3]) for v in objlang._SKELETON_FNS.values()] == [
+        ({"X"}, (_A0_WHILE,), _A0_REST),
+        ({"C"}, _DRIVER_TAIL, _DRIVER_TAIL_TEXT),
     ]
-    assert [v[3] for v in objlang._SKELETON_FNS.values()] == list(objlang._SKELETON_STMTS)
 
 
 def test_each_registered_text_parses_afresh_to_its_statements():
-    for text, stmts in objlang._SKELETON_STMTS.items():
+    for *_, stmts, text in objlang._SKELETON_FNS.values():
         assert text == serialize(Program(stmts))
         with empty_skeleton_tables():
             fresh = parse(text).statements
@@ -250,13 +249,10 @@ def test_serialize_emits_the_skeleton_text_as_the_plain_emit_would(corpus200):
 
 
 def _snapshot():
-    return dict(objlang._SKELETON_STMTS), dict(objlang._SKELETON_FNS)
+    return dict(objlang._SKELETON_FNS)
 
 
-def _assert_unchanged(before):
-    stmts, fns = before
-    assert objlang._SKELETON_STMTS.keys() == stmts.keys()
-    assert all(objlang._SKELETON_STMTS[k] is v for k, v in stmts.items())
+def _assert_unchanged(fns):
     assert objlang._SKELETON_FNS.keys() == fns.keys()
     assert all(objlang._SKELETON_FNS[k] is v for k, v in fns.items())
 
@@ -277,7 +273,7 @@ def test_parsing_and_running_programs_leaves_the_tables_unchanged():
 
 
 def test_caches_stay_consistent_across_threads():
-    # More threads than cores, switching often, all reading both tables.
+    # More threads than cores, switching often, all reading the table.
     before = _snapshot()
     driver = source_of(parse_ordinal("w^w"))
     expected = evaluate(parse(driver), Fuel(3000, 2))
