@@ -23,11 +23,13 @@ from ionkit.lineage import (
     SterileAgentError,
     asexual_create,
     chain_stats,
+    config_from_json,
     event_from_json,
     event_log_text,
     event_to_json,
     multi_parent_create,
     nondeterministic_create,
+    parse_policy,
     read_event_log,
     run_lineage,
     witness_notation,
@@ -583,3 +585,19 @@ def test_golden_descent_walks():
         walk = descent_walk(start, lambda a: picks.randint(0, 2), max_len=10**6)
         lines.append(" ".join(format_ordinal(x) for x in walk) + "\n")
     assert _sha("".join(lines).encode()) == "e4a9f851d7878b1aae5bb255a8b2151de7e2d338cbfd69782e5677048e4677b1"
+
+
+def test_config_from_json_returns_only_the_fields_a_config_sets():
+    # absent and null fields are left out, so LineageConfig's defaults apply
+    assert config_from_json({}) == {}
+    assert config_from_json({"seed": None, "policy": None, "multiParentRule": {"bonus": None}}) == {
+        "multi_parent_rule": MultiParentRule()
+    }
+    assert config_from_json({
+        "founders": ["w", "3"], "policy": "mixed:2", "seed": 5, "maxEvents": 7,
+        "multiParentRule": {"bonus": "w^2", "maxDescent": 1},
+    }) == {
+        "founder_intelligences": (o("w"), o("3")), "policy": MixedEveryK(2), "rng_seed": 5,
+        "max_events": 7, "multi_parent_rule": MultiParentRule(o("w^2"), 1),
+    }
+    assert parse_policy("asexual") == AsexualOnly()
