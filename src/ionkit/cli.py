@@ -217,7 +217,11 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
     # LineageConfig's and MultiParentRule's own.
     fields = {}
     if args.config:
-        fields = config_from_json(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        try:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"config {args.config}: {exc}") from None
+        fields = config_from_json(data)
     fields |= _present(
         founder_intelligences=args.founder and tuple(map(parse_ordinal, args.founder)),
         policy=args.policy, rng_seed=args.seed, max_events=args.max_events,

@@ -27,6 +27,7 @@ from .ordinals import (
     OMEGA,
     ZERO,
     Ordinal,
+    _NAT_RE,
     _check_int,
     add,
     descend,
@@ -146,10 +147,14 @@ def parse_policy(text: str) -> Policy:
         return AsexualOnly()
     if not text.startswith("mixed:"):
         raise ValueError(f"unknown policy {text!r}; use asexual or mixed:<k>")
-    try:
-        return MixedEveryK(int(text.removeprefix("mixed:")))
-    except ValueError:
-        raise ValueError(f"bad mixed policy {text!r}; use mixed:<k>") from None
+    k = text.removeprefix("mixed:")
+    # ASCII digits only, as in ordinal text: int() alone reads " 3", "+3", "1_0" and "٣".
+    if _NAT_RE.fullmatch(k):
+        try:
+            return MixedEveryK(int(k))
+        except ValueError:  # k is 0, or past int()'s limit on digits
+            pass
+    raise ValueError(f"bad mixed policy {text!r}; use mixed:<k>")
 
 
 @dataclass(frozen=True, slots=True)

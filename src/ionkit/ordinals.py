@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 import threading
 import weakref
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, NoReturn, TypeVar
@@ -37,6 +38,7 @@ __all__ = [
     "depth",
     "DEPTH_LIMIT",
     "NESTING_LIMIT",
+    "HYDRA_NODE_LIMIT",
     "OrdinalError",
     "OrdinalOverflowError",
     "OrdinalParseError",
@@ -64,7 +66,7 @@ class OrdinalError(Exception):
 
 
 class OrdinalOverflowError(OrdinalError):
-    """Construction would exceed the nesting depth limit."""
+    """Construction would exceed a construction limit."""
 
 
 class OrdinalParseError(OrdinalError):
@@ -91,6 +93,7 @@ DEPTH_LIMIT = 64
 # stays far inside the default recursion limit.
 NESTING_LIMIT = 128
 _NESTING_MESSAGE = f"nesting deeper than the limit of {NESTING_LIMIT}"
+HYDRA_NODE_LIMIT = 10**4  # most nodes a hydra may have; a game past it does not end in practice
 
 
 class Ordinal:
@@ -311,8 +314,8 @@ def depth(a: Ordinal) -> int:
 
 
 def _omega_pow_terms(a: Ordinal) -> _Terms:
-    """Terms of w raised to ``a``; the only construction that can deepen nesting,
-    so the one place DEPTH_LIMIT is checked (``omega_pow`` and the parser)."""
+    """Terms of w raised to ``a``; the only term construction that can deepen nesting, so the
+    place DEPTH_LIMIT is checked (``omega_pow``, the parser; a hydra's value checks its height)."""
     if a._depth >= DEPTH_LIMIT:  # w^a is one level deeper than a
         raise OrdinalOverflowError(f"nesting depth exceeds {DEPTH_LIMIT}")
     return ((a, 1),)
@@ -513,7 +516,7 @@ def _format_terms(terms: _Terms) -> str:
     return "+".join(parts)
 
 
-_NAT_RE = re.compile(r"\d+")
+_NAT_RE = re.compile(r"[0-9]+")  # ASCII digits only: \d would read "٣" as 3
 _T = TypeVar("_T")
 
 
@@ -592,8 +595,11 @@ class _OrdParser:
             return inner
         m = _NAT_RE.match(self.text, self.pos)
         if m:
+            try:
+                n = int(m.group())
+            except ValueError:  # past the interpreter's limit on digits
+                self.fail(f"natural of {m.end() - self.pos} digits is too long")
             self.pos = m.end()
-            n = int(m.group())
             return ((ZERO, n),) if n else ()
         self.fail("ordinal atom (natural, 'w', or parenthesized expression)")
 
@@ -643,22 +649,37 @@ class DeadHydraError(OrdinalError):
 
 @dataclass(frozen=True, slots=True)
 class HydraTree:
+    """A hydra node. Its height and size (in nodes) are set from its children's."""
     children: tuple["HydraTree", ...] = ()
+    height: int = field(init=False, compare=False, repr=False)
+    size: int = field(init=False, compare=False, repr=False)
+    _value: Ordinal | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+        kids = tuple(self.children)
+        height, size = 0, 1
+        for c in kids:  # one pass, cheaper than max() and sum() over two lists
+            height = c.height + 1 if c.height >= height else height
+            size += c.size
+        if height >= NESTING_LIMIT:
+            raise OrdinalOverflowError(_NESTING_MESSAGE)
+        if size > HYDRA_NODE_LIMIT:
+            raise OrdinalOverflowError(f"hydra of {size} nodes is over the limit of {HYDRA_NODE_LIMIT}")
+        object.__setattr__(self, "children", kids)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "size", size)
 
 
 def hydra_to_ordinal(h: HydraTree) -> Ordinal:
-    """Value of a hydra: natural sum of w^(child value) over its children."""
-    out = ZERO
-    for c in h.children:
-        out = natural_sum(out, omega_pow(hydra_to_ordinal(c)))
-    return out
-
-
-def _height(h: HydraTree) -> int:
-    return 0 if not h.children else 1 + max(_height(c) for c in h.children)
+    """Natural sum of w^(child value) over the children; derived once, then kept in the node."""
+    value = h._value
+    if value is None:
+        if h.height > DEPTH_LIMIT:  # a value is as deep as its hydra is high
+            raise OrdinalOverflowError(f"nesting depth exceeds {DEPTH_LIMIT}")
+        counts = Counter(map(hydra_to_ordinal, h.children))
+        value = _intern(tuple(sorted(counts.items(), reverse=True)))
+        object.__setattr__(h, "_value", value)
+    return value
 
 
 def hydra_step(h: HydraTree, stage: int) -> HydraTree:
@@ -673,13 +694,12 @@ def hydra_step(h: HydraTree, stage: int) -> HydraTree:
         raise DeadHydraError("bare root has no heads")
 
     def cut(node: HydraTree) -> HydraTree:
-        # Follow the leftmost child of maximal height.
         kids = node.children
-        heights = [_height(c) for c in kids]
-        i = heights.index(max(heights))
-        if heights[i] == 0:  # a head on the root vanishes
+        top = node.height - 1  # follow the leftmost child this high, the highest
+        i = next(j for j, c in enumerate(kids) if c.height == top)
+        if top == 0:  # a head on the root vanishes
             new: tuple[HydraTree, ...] = ()
-        elif heights[i] == 1:  # the child loses its first head, repeated stage times
+        elif top == 1:  # the child loses its first head, repeated stage times
             new = (HydraTree(kids[i].children[1:]),) * stage
         else:
             new = (cut(kids[i]),)
@@ -691,7 +711,8 @@ def hydra_step(h: HydraTree, stage: int) -> HydraTree:
 def hydra_trajectory(h: HydraTree, max_steps: int = 10**6) -> list[Ordinal]:
     """Play the game with stage = 1, 2, 3, ... until the hydra dies.
 
-    Returns the ordinal value before each cut plus the final 0.
+    Returns the ordinal value before each cut plus the final 0; a cut that
+    grows the hydra past ``HYDRA_NODE_LIMIT`` nodes raises OrdinalOverflowError.
     """
     _check_int(max_steps, "max_steps", 0)
     values = [hydra_to_ordinal(h)]

@@ -109,6 +109,12 @@ def test_deep_ordinal_text_exits_1_at_the_nesting_limit(argv, offset, capsys):
     assert (out, err) == ("", f"error: offset {offset}: nesting deeper than the limit of 128\n")
 
 
+def test_a_hydra_past_the_node_budget_exits_1(capsys):
+    # Its game does not end in practice; the budget stops it at its first cut past 10**4 nodes.
+    assert main(["hydra", "(((((())))))"]) == 1
+    assert capsys.readouterr() == ("", "error: hydra of 10125 nodes is over the limit of 10000\n")
+
+
 def test_usage_error_on_bad_flag_value(capsys):
     assert main(["run", "x.ion", "--max-steps", "0"]) == 2
     assert main(["run", "x.ion", "--max-steps", "ten"]) == 2
@@ -322,6 +328,29 @@ def test_lineage_config_errors(text, message, tmp_path, capsys):
     cfg.write_text(text)
     assert main(["lineage", "--config", str(cfg)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("data, reason", [
+    (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+])
+def test_a_config_that_is_not_json_is_named(data, reason, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    assert main(["lineage", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: config {cfg}: {reason}\n")
+
+
+# k is ASCII digits only, as a natural in ordinal text is; int() alone would take each of these.
+@pytest.mark.parametrize("policy", ["mixed:1_0", "mixed: 3", "mixed:+3", "mixed:3 ", "mixed:\u0663"])
+def test_mixed_policy_takes_ascii_digits_only(policy, tmp_path, capsys):
+    message = f"bad mixed policy {policy!r}; use mixed:<k>"
+    assert main(["lineage", "--founder", "2", "--policy", policy]) == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --policy: {message}\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"founders": ["2"], "policy": policy}))
+    assert main(["lineage", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: config field 'policy': {message}\n")
 
 
 def test_lineage_flags_override_config(tmp_path, capsys):

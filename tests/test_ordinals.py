@@ -1,4 +1,5 @@
 import random
+import sys
 
 import hypothesis as hyp
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_ordinal
 from ionkit.ordinals import (
+    DEPTH_LIMIT,
+    HYDRA_NODE_LIMIT,
+    NESTING_LIMIT,
     OMEGA,
     ONE,
     ZERO,
@@ -297,6 +301,29 @@ def test_parse_ordinal_errors():
             parse_ordinal(bad)
 
 
+# A natural is ASCII digits only; \d would also take other scripts' digits.
+@pytest.mark.parametrize("text, offset", [
+    ("w*\u0663+\u0662", 2),  # Arabic-Indic three and two
+    ("\u0663", 0),
+    ("w^\uff12", 2),  # fullwidth two
+])
+def test_parse_ordinal_reads_ascii_digits_only(text, offset):
+    with pytest.raises(OrdinalParseError) as info:
+        parse_ordinal(text)
+    assert info.value.offset == offset
+
+
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < _INT_DIGITS < 5000, reason="int() reads 5000 digits here")
+def test_a_natural_past_the_interpreters_digit_limit_is_a_parse_error_at_its_offset():
+    for text, offset in [("9" * 5000, 0), ("w+" + "9" * 5000, 2)]:
+        with pytest.raises(OrdinalParseError, match=r"natural of 5000 digits is too long$") as info:
+            parse_ordinal(text)
+        assert info.value.offset == offset
+
+
 def test_format_ordinal_goldens():
     assert format_ordinal(ZERO) == "0"
     assert format_ordinal(from_int(7)) == "7"
@@ -443,3 +470,81 @@ def test_hydra_step_matches_reference():
     for h in hydras:
         for stage in (1, 2, 3):
             assert hydra_step(h, stage) == _reference_hydra_step(h, stage), (h, stage)
+
+
+# A node derives its height, size and value once, from its children's. These
+# recursive references recompute them from the whole tree; the value is the
+# earlier natural-sum fold, kept verbatim.
+def _reference_size(h: HydraTree) -> int:
+    return 1 + sum(_reference_size(c) for c in h.children)
+
+
+def _reference_hydra_to_ordinal(h: HydraTree) -> Ordinal:
+    out = ZERO
+    for c in h.children:
+        out = natural_sum(out, omega_pow(_reference_hydra_to_ordinal(c)))
+    return out
+
+
+def _assert_derived_match_reference(h: HydraTree) -> None:
+    assert (h.height, h.size) == (_reference_height(h), _reference_size(h)), h
+    assert hydra_to_ordinal(h) is _reference_hydra_to_ordinal(h), h
+
+
+def test_hydra_derived_fields_match_reference_on_every_tree_up_to_8_nodes():
+    for n in range(1, 9):
+        for forest in _ordered_forests(n - 1):
+            _assert_derived_match_reference(HydraTree(forest))
+
+
+hydra_trees = st.recursive(
+    st.just(HydraTree()), lambda kids: st.lists(kids, max_size=4).map(HydraTree), max_leaves=40
+)
+
+
+@hyp.given(hydra_trees)
+def test_hydra_derived_fields_match_reference(h):
+    _assert_derived_match_reference(h)
+
+
+@pytest.mark.parametrize("nodes", range(1, 8))
+def test_hydra_trajectory_matches_reference_on_every_shape_that_dies_under_the_budget(nodes):
+    # Every state of every game checks its height, size and value against the
+    # references. A game that outgrows the node budget must stop at it.
+    for forest in _ordered_forests(nodes - 1):
+        try:
+            values = hydra_trajectory(HydraTree(forest))
+        except OrdinalOverflowError as exc:
+            assert str(exc).endswith(f"nodes is over the limit of {HYDRA_NODE_LIMIT}")
+            assert nodes >= 6, forest
+            continue
+        states = [HydraTree(forest)]
+        while states[-1].children:
+            states.append(hydra_step(states[-1], len(states)))
+        for h in states:
+            assert (h.height, h.size) == (_reference_height(h), _reference_size(h)), h
+        assert values == [_reference_hydra_to_ordinal(h) for h in states]
+
+
+def test_a_hydra_built_3000_deep_is_refused_at_height_128():
+    h = leaf()
+    with pytest.raises(OrdinalOverflowError, match=r"^nesting deeper than the limit of 128$"):
+        for _ in range(3000):
+            h = HydraTree((h,))
+    assert h.height == NESTING_LIMIT - 1 and h.size == NESTING_LIMIT
+    # the highest hydra that can be built still compares, hashes and steps
+    assert h == HydraTree((h.children[0],)) and hash(h) == hash(HydraTree(h.children))
+    assert hydra_step(h, 2).height == NESTING_LIMIT - 2
+    with pytest.raises(OrdinalOverflowError, match=rf"^nesting depth exceeds {DEPTH_LIMIT}$"):
+        hydra_to_ordinal(h)
+    while h.height > DEPTH_LIMIT:
+        h = h.children[0]
+    assert hydra_to_ordinal(h) is _reference_hydra_to_ordinal(h)
+    with pytest.raises(OrdinalOverflowError, match=rf"^nesting depth exceeds {DEPTH_LIMIT}$"):
+        hydra_to_ordinal(HydraTree((h,)))  # one level higher than the depth limit
+
+
+def test_a_hydra_over_the_node_budget_is_refused():
+    assert HydraTree((leaf(),) * (HYDRA_NODE_LIMIT - 1)).size == HYDRA_NODE_LIMIT
+    with pytest.raises(OrdinalOverflowError, match=r"^hydra of 10001 nodes is over the limit of 10000$"):
+        HydraTree((leaf(),) * HYDRA_NODE_LIMIT)
