@@ -25,6 +25,7 @@ from pathlib import Path
 from .objlang import Fuel, ObjLangError, evaluate, parse, serialize
 from .ordinals import (
     OrdinalError,
+    _NAT_RE,
     compare,
     format_ordinal,
     hydra_trajectory,
@@ -64,11 +65,19 @@ DEFAULT_MAX_OUTPUTS = 16
 DEFAULT_DEPTH = 8
 
 
+def _int(text: str) -> int:
+    """An integer flag: ASCII digits after at most one '-', as in ordinal text;
+    int() alone also reads " 3", "+3", "1_0" and "٣"."""
+    if _NAT_RE.fullmatch(text.removeprefix("-")):
+        try:
+            return int(text)
+        except ValueError:  # past int()'s limit on digits
+            pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
     return value
@@ -297,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--founder", action="append", help="founder intelligence (repeatable)")
     p.add_argument("--policy", type=_policy, default=None, help="asexual or mixed:<k>")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--max-events", type=_positive_int, default=None)
     p.add_argument("-o", "--out", help="write .jsonl event log and print stats")
     p.set_defaults(func=_cmd_lineage)

@@ -28,12 +28,14 @@ from .ordinals import (
     ZERO,
     Ordinal,
     _NAT_RE,
+    _add_terms,
     _check_int,
-    add,
+    _descend_terms,
+    _intern,
+    _natural_sum_terms,
     descend,
     format_ordinal,
     fundamental_sequence,  # unused here; perfbench's tracer test looks up this binding
-    natural_sum,
     parse_ordinal,
 )
 
@@ -97,14 +99,70 @@ class EventKind(str, Enum):
 _SINGLE_PARENT_KINDS = frozenset({EventKind.ASEXUAL, EventKind.NONDETERMINISTIC})
 
 
+def _is_int(value: object) -> bool:
+    return type(value) is int  # not a bool, not a float
+
+
 @dataclass(frozen=True, slots=True)
 class LineageEvent:
+    """One line of an event log. The constructor refuses a field of the wrong
+    type with ``TypeError``, so every event's JSON line is exact by
+    construction (see :func:`event_log_text`); the ints must be plain ``int``,
+    not ``bool``."""
+
     kind: EventKind
     child_id: int
     parent_ids: tuple[int, ...]
     child_intelligence: Ordinal
     seed_used: int
     event_index: int
+
+    def __post_init__(self) -> None:
+        if type(self.kind) is not EventKind:
+            raise TypeError("kind must be an EventKind")
+        if not (_is_int(self.child_id) and _is_int(self.seed_used) and _is_int(self.event_index)):
+            raise TypeError("child_id, seed_used and event_index must be ints")
+        if type(self.parent_ids) is not tuple or not all(map(_is_int, self.parent_ids)):
+            raise TypeError("parent_ids must be a tuple of ints")
+        if type(self.child_intelligence) is not Ordinal:
+            raise TypeError("child_intelligence must be an Ordinal")
+
+
+# The slots' own descriptors: set through them, an agent's or event's fields
+# skip the frozen dataclass's __setattr__ and the public constructor's checks.
+_SET_AGENT = tuple(getattr(Agent, name).__set__ for name in Agent.__slots__)
+_SET_EVENT = tuple(getattr(LineageEvent, name).__set__ for name in LineageEvent.__slots__)
+
+
+def _agent(id: int, intelligence: Ordinal, parent_ids: tuple[int, ...], generation: int) -> Agent:
+    """``Agent(...)`` unchecked, for the module's own agents, whose fields it builds itself."""
+    self = object.__new__(Agent)
+    set_id, set_intelligence, set_parent_ids, set_generation = _SET_AGENT
+    set_id(self, id)
+    set_intelligence(self, intelligence)
+    set_parent_ids(self, parent_ids)
+    set_generation(self, generation)
+    return self
+
+
+def _event(
+    kind: EventKind,
+    child_id: int,
+    parent_ids: tuple[int, ...],
+    child_intelligence: Ordinal,
+    seed_used: int,
+    event_index: int,
+) -> LineageEvent:
+    """``LineageEvent(...)`` unchecked, for events whose field types are known."""
+    self = object.__new__(LineageEvent)
+    set_kind, set_child_id, set_parent_ids, set_intelligence, set_seed, set_index = _SET_EVENT
+    set_kind(self, kind)
+    set_child_id(self, child_id)
+    set_parent_ids(self, parent_ids)
+    set_intelligence(self, child_intelligence)
+    set_seed(self, seed_used)
+    set_index(self, event_index)
+    return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,6 +244,12 @@ class LineageConfig:
 # creation operations
 # ---------------------------------------------------------------------------
 
+def _check_ids(child_id: int, event_index: int, parent_ids: tuple[int, ...]) -> None:
+    """``TypeError`` unless the ids a creation puts in its event are all ints."""
+    if not (_is_int(child_id) and _is_int(event_index) and all(map(_is_int, parent_ids))):
+        raise TypeError("child_id, event_index and parent ids must be ints")
+
+
 def asexual_create(
     parent: Agent,
     picker: Callable[[Ordinal], int],
@@ -198,16 +262,15 @@ def asexual_create(
     picker(limit) of its fundamental sequence. seed_used records the picked
     index, or -1 when no pick was needed.
     """
+    ids = (parent.id,)
+    _check_ids(child_id, event_index, ids)
     intel = parent.intelligence
     if intel == ZERO:
         raise SterileAgentError(f"agent {parent.id} has intelligence 0")
     child_intel, seed_used = descend(intel, picker)
     assert child_intel < intel  # single-parent descent is structural
-    child = Agent(child_id, child_intel, (parent.id,), parent.generation + 1)
-    event = LineageEvent(
-        EventKind.ASEXUAL, child_id, (parent.id,), child_intel, seed_used, event_index
-    )
-    return child, event
+    child = _agent(child_id, child_intel, ids, parent.generation + 1)
+    return child, _event(EventKind.ASEXUAL, child_id, ids, child_intel, seed_used, event_index)
 
 
 def nondeterministic_create(
@@ -223,6 +286,8 @@ def nondeterministic_create(
     chosen child is below the parent no matter how the draw goes. seed_used
     records the selected candidate index.
     """
+    ids = (parent.id,)
+    _check_ids(child_id, event_index, ids)
     intel = parent.intelligence
     if intel == ZERO:
         raise SterileAgentError(f"agent {parent.id} has intelligence 0")
@@ -236,16 +301,10 @@ def nondeterministic_create(
     seed_used = rng.randrange(k)
     child_intel = candidates[seed_used]
     assert child_intel < intel
-    child = Agent(child_id, child_intel, (parent.id,), parent.generation + 1)
-    event = LineageEvent(
-        EventKind.NONDETERMINISTIC,
-        child_id,
-        (parent.id,),
-        child_intel,
-        seed_used,
-        event_index,
+    child = _agent(child_id, child_intel, ids, parent.generation + 1)
+    return child, _event(
+        EventKind.NONDETERMINISTIC, child_id, ids, child_intel, seed_used, event_index
     )
-    return child, event
 
 
 def multi_parent_create(
@@ -262,28 +321,31 @@ def multi_parent_create(
     seed_used records m. With m = 0 the child equals the cap and exceeds
     every individual parent.
     """
-    ids = [p.id for p in parents]
+    ids = tuple(p.id for p in parents)
     if len(ids) < 2:
         raise DuplicateParentsError("multi-parent creation needs >= 2 parents")
     if len(set(ids)) != len(ids):
         raise DuplicateParentsError(f"parent ids repeat: {sorted(ids)}")
-    cap = ZERO
-    for p in parents:
-        cap = natural_sum(cap, p.intelligence)
-    cap = add(cap, rule.bonus)
+    _check_ids(child_id, event_index, ids)
+    # On terms, so only the child is interned, not the cap and each step to it;
+    # the terms are canonical only if every intelligence is a real Ordinal.
+    intels = [p.intelligence for p in parents]
+    if any(type(a) is not Ordinal for a in intels) or type(rule.bonus) is not Ordinal:
+        raise TypeError("parent intelligences and the bonus must be Ordinals")
+    terms: tuple = ()
+    for a in intels:
+        terms = _natural_sum_terms(terms, a.terms)
+    terms = _add_terms(terms, rule.bonus.terms)
     m = rng.randint(0, rule.max_descent)
-    child_intel = cap
     for _ in range(m):
-        if child_intel == ZERO:
+        if not terms:
             break
-        n = rng.randint(0, 16)  # one draw per step, as in nondeterministic_create
-        child_intel = descend(child_intel, lambda lam: n)[0]
+        # one draw per step, also at a successor, as in nondeterministic_create
+        terms = _descend_terms(terms, rng.randint(0, 16))
+    child_intel = _intern(terms)
     generation = 1 + max(p.generation for p in parents)
-    child = Agent(child_id, child_intel, tuple(ids), generation)
-    event = LineageEvent(
-        EventKind.MULTI_PARENT, child_id, tuple(ids), child_intel, m, event_index
-    )
-    return child, event
+    child = _agent(child_id, child_intel, ids, generation)
+    return child, _event(EventKind.MULTI_PARENT, child_id, ids, child_intel, m, event_index)
 
 
 def witness_notation(child_enumerator: Program) -> Program:
@@ -323,10 +385,8 @@ def run_lineage(config: LineageConfig) -> list[LineageEvent]:
     whose latest child has 0 goes on from the other agents, with no marker.
     """
     rng = random.Random(config.rng_seed)
-    founders = [Agent(i, intel) for i, intel in enumerate(config.founder_intelligences)]
-    events = [
-        LineageEvent(EventKind.FOUNDER, a.id, (), a.intelligence, -1, a.id) for a in founders
-    ]
+    founders = [_agent(i, intel, (), 0) for i, intel in enumerate(config.founder_intelligences)]
+    events = [_event(EventKind.FOUNDER, a.id, (), a.intelligence, -1, a.id) for a in founders]
     policy = config.policy
     mixed = isinstance(policy, MixedEveryK)
     # The agents a creation may use: the latest one, or under MixedEveryK the
@@ -353,7 +413,7 @@ def run_lineage(config: LineageConfig) -> list[LineageEvent]:
         elif len(ranked) == 1 or child.intelligence >= ranked[1].intelligence:
             ranked = [best, child]
     if len(ranked) == 1 and ranked[0].intelligence == ZERO:
-        events.append(LineageEvent(EventKind.STERILE, ranked[0].id, (), ZERO, -1, len(events)))
+        events.append(_event(EventKind.STERILE, ranked[0].id, (), ZERO, -1, len(events)))
     return events
 
 
@@ -404,10 +464,6 @@ def event_to_json(ev: LineageEvent) -> dict:
 _EVENT_KINDS = frozenset(k.value for k in EventKind)
 
 
-def _is_int(value: object) -> bool:
-    return type(value) is int  # not a bool, not a float
-
-
 def _json_field(data: dict, where: str, key: str, ok: Callable[[object], bool], what: str):
     """``data.get(key)`` if ``ok`` accepts it, else ``ValueError`` naming the field."""
     value = data.get(key)
@@ -439,7 +495,7 @@ def event_from_json(data: dict) -> LineageEvent:
         raise ValueError("event must be a JSON object")
     for key, ok, what in _EVENT_FIELDS:
         _json_field(data, "event", key, ok, what)
-    return LineageEvent(
+    return _event(
         EventKind(data["kind"]),
         data["childId"],
         tuple(data["parentIds"]),
@@ -491,13 +547,25 @@ def _present(**fields) -> dict:
     return {key: value for key, value in fields.items() if value is not None}
 
 
-# One encoder for every line; json.dumps with separators builds a new one per call.
-_ENCODE_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+# Each kind's line up to its childId value.
+_LINE_HEAD = {kind: f'{{"kind":"{kind.value}","childId":' for kind in EventKind}
 
 
 def event_log_text(log: Sequence[LineageEvent]) -> str:
-    """JSON-lines text of ``log``: one compact JSON object per event."""
-    return "".join(_ENCODE_COMPACT(event_to_json(ev)) + "\n" for ev in log)
+    """JSON-lines text of ``log``: one compact JSON object per event, the
+    bytes ``json.dumps(event_to_json(ev), separators=(",", ":"))`` gives.
+
+    Each line is formatted directly. That is exact because an event's fields
+    have their declared types (its constructor checks them): the ints are plain
+    ``int``, and ordinal text uses only ``0-9 w ^ ( ) * +``, which JSON does
+    not escape.
+    """
+    return "".join([
+        f'{_LINE_HEAD[ev.kind]}{ev.child_id},"parentIds":[{",".join(map(str, ev.parent_ids))}],'
+        f'"childIntelligence":"{format_ordinal(ev.child_intelligence)}",'
+        f'"seedUsed":{ev.seed_used},"eventIndex":{ev.event_index}}}\n'
+        for ev in log
+    ])
 
 
 def write_event_log(log: Sequence[LineageEvent], path: str | Path) -> None:

@@ -335,9 +335,13 @@ def natural_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     """
     if type(a) is not Ordinal or type(b) is not Ordinal:
         raise TypeError("natural_sum takes two Ordinals")
+    return _intern(_natural_sum_terms(a.terms, b.terms))
+
+
+def _natural_sum_terms(ta: _Terms, tb: _Terms) -> _Terms:
+    """Terms of the natural sum of the ordinals with terms ``ta`` and ``tb``."""
     terms: list[tuple[Ordinal, int]] = []
     i = j = 0
-    ta, tb = a.terms, b.terms
     while i < len(ta) and j < len(tb):
         c = _cmp(ta[i][0], tb[j][0])
         if c > 0:
@@ -352,7 +356,7 @@ def natural_sum(a: Ordinal, b: Ordinal) -> Ordinal:
             j += 1
     terms.extend(ta[i:])
     terms.extend(tb[j:])
-    return _intern(tuple(terms))
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +446,20 @@ def descend(a: Ordinal, picker: Callable[[Ordinal], int]) -> tuple[Ordinal, int]
     if not terms:
         raise ValueError("0 has no descent step")
     if not terms[-1][0].terms:  # a successor
-        return _intern(_minus_last_power(terms)[0]), -1
-    n = picker(a)
-    _check_int(n, "n", 0)
-    return _intern(_fs(terms, n)), n
+        n = -1
+    else:
+        n = picker(a)
+        _check_int(n, "n", 0)
+    return _intern(_descend_terms(terms, n)), n
+
+
+def _descend_terms(terms: _Terms, n: int) -> _Terms:
+    """Terms one descent step below the nonzero ordinal with ``terms``: its
+    predecessor at a successor, where ``n`` goes unused, else member ``n``
+    (an ``int`` >= 0) of its fundamental sequence."""
+    if not terms[-1][0].terms:
+        return _minus_last_power(terms)[0]
+    return _fs(terms, n)
 
 
 def descent_walk(
@@ -664,10 +678,14 @@ class HydraTree:
         if height >= NESTING_LIMIT:
             raise OrdinalOverflowError(_NESTING_MESSAGE)
         if size > HYDRA_NODE_LIMIT:
-            raise OrdinalOverflowError(f"hydra of {size} nodes is over the limit of {HYDRA_NODE_LIMIT}")
+            raise _hydra_overflow(size)
         object.__setattr__(self, "children", kids)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "size", size)
+
+
+def _hydra_overflow(size: int) -> OrdinalOverflowError:
+    return OrdinalOverflowError(f"hydra of {size} nodes is over the limit of {HYDRA_NODE_LIMIT}")
 
 
 def hydra_to_ordinal(h: HydraTree) -> Ordinal:
@@ -700,6 +718,10 @@ def hydra_step(h: HydraTree, stage: int) -> HydraTree:
         if top == 0:  # a head on the root vanishes
             new: tuple[HydraTree, ...] = ()
         elif top == 1:  # the child loses its first head, repeated stage times
+            # The node's size after the move, known before any copy is made.
+            size = node.size - 1 + (stage - 1) * (kids[i].size - 1)
+            if size > HYDRA_NODE_LIMIT:
+                raise _hydra_overflow(size)
             new = (HydraTree(kids[i].children[1:]),) * stage
         else:
             new = (cut(kids[i]),)

@@ -353,6 +353,32 @@ def test_mixed_policy_takes_ascii_digits_only(policy, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: config field 'policy': {message}\n")
 
 
+@pytest.mark.parametrize("text", [" 3", "1_0", "٣", "+3", "3 ", "--3", "9" * 5000])
+@pytest.mark.parametrize("argv", [
+    ["hydra", "(())", "--max-steps"],
+    ["run", "x.ion", "--max-outputs"],
+    ["verify", "x.ion", "--depth"],
+    ["lineage", "--founder", "2", "--max-events"],
+    ["lineage", "--founder", "2", "--seed"],
+])
+def test_integer_flags_take_ascii_digits_only(argv, text, capsys):
+    # int() alone reads " 3", "1_0" and "٣" (an Arabic-Indic digit) as 3, 10 and 3.
+    # As --flag=value, so argparse takes "--3" for a value, not for an option.
+    assert main([*argv[:-1], f"{argv[-1]}={text}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ion ")
+    assert err.endswith(f"error: argument {argv[-1]}: {text!r} is not an integer\n")
+
+
+def test_seed_takes_one_leading_minus(capsys):
+    assert main(["lineage", "--founder", "2", "--seed", "-3"]) == 0
+    assert capsys.readouterr().out == event_log_text(
+        run_lineage(LineageConfig((parse_ordinal("2"),), rng_seed=-3))
+    )
+    assert main(["hydra", "(())", "--max-steps", "-3"]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --max-steps: value must be >= 1\n")
+
+
 def test_lineage_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"founders": ["w"], "policy": "asexual", "seed": 3}))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -21,6 +22,8 @@ from ionkit.lineage import (
     MixedEveryK,
     MultiParentRule,
     SterileAgentError,
+    _agent,
+    _event,
     asexual_create,
     chain_stats,
     config_from_json,
@@ -40,9 +43,13 @@ from ionkit.objlang import Fuel, evaluate, parse, serialize
 from ionkit.ordinals import (
     ZERO,
     _format_terms,
+    add,
+    descend,
     descent_walk,
     format_ordinal,
     from_int,
+    mul,
+    natural_sum,
     parse_ordinal,
 )
 
@@ -601,3 +608,143 @@ def test_config_from_json_returns_only_the_fields_a_config_sets():
         "max_events": 7, "multi_parent_rule": MultiParentRule(o("w^2"), 1),
     }
     assert parse_policy("asexual") == AsexualOnly()
+
+
+# ---------------------------------------------------------------------------
+# typed events: the log's formatted lines, the private constructors, and the
+# multi-parent child built on terms
+# ---------------------------------------------------------------------------
+
+def _dumps_log(log) -> str:
+    """The log text that json.dumps gives, the reference event_log_text must match."""
+    return "".join(json.dumps(event_to_json(ev), separators=(",", ":")) + "\n" for ev in log)
+
+
+def test_event_log_text_matches_json_dumps_on_every_golden_log(tmp_path):
+    for runs in (GOLDEN_RUNS, EDGE_RUNS):
+        for log in golden_logs(runs, tmp_path)[0]:
+            assert event_log_text(log) == _dumps_log(log)
+
+
+# Ids past 2**64 and -1 among them; coefficients past 2**64 in the intelligences.
+_event_ints = st.one_of(st.just(-1), st.integers(0, 5), st.integers(-(2**70), 2**80))
+_big_ordinals = st.builds(
+    lambda a, c, d: add(mul(a, from_int(c)), from_int(d)),
+    ordinal_exprs, st.integers(1, 2**70), st.integers(0, 2**70),
+)
+_event_fields = st.tuples(
+    st.sampled_from(EventKind), _event_ints, st.lists(_event_ints, max_size=3).map(tuple),
+    st.one_of(ordinal_exprs, _big_ordinals), _event_ints, _event_ints,
+)
+
+
+@hyp.given(st.lists(_event_fields.map(lambda f: LineageEvent(*f)), max_size=4))
+def test_event_log_text_matches_json_dumps_on_hypothesis_events(log):
+    text = event_log_text(log)
+    assert text == _dumps_log(log)
+    assert [event_from_json(json.loads(line)) for line in text.splitlines()] == log
+
+
+def _same_object_behaviour(private, public):
+    assert type(private) is type(public)
+    assert private == public and hash(private) == hash(public)
+    assert repr(private) == repr(public)
+    for obj in (private, public):
+        for field in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, getattr(obj, field.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, field.name)
+
+
+@hyp.given(_event_fields)
+def test_private_event_constructor_matches_the_public_one(fields):
+    _same_object_behaviour(_event(*fields), LineageEvent(*fields))
+
+
+@hyp.given(_event_ints, ordinal_exprs, st.lists(_event_ints, max_size=3).map(tuple), _event_ints)
+def test_private_agent_constructor_matches_the_public_one(id, intel, parent_ids, generation):
+    _same_object_behaviour(
+        _agent(id, intel, parent_ids, generation), Agent(id, intel, parent_ids, generation)
+    )
+    assert _agent(id, intel, (), 0) == Agent(id, intel)
+
+
+_EVENT_ARGS = dict(kind=EventKind.ASEXUAL, child_id=1, parent_ids=(0,),
+                   child_intelligence=ZERO, seed_used=-1, event_index=1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("child_id", True, "child_id, seed_used and event_index must be ints"),
+    ("event_index", 1.0, "child_id, seed_used and event_index must be ints"),
+    ("parent_ids", [0], "parent_ids must be a tuple of ints"),
+    ("parent_ids", (False,), "parent_ids must be a tuple of ints"),
+    ("seed_used", 3.0, "child_id, seed_used and event_index must be ints"),
+    ("kind", "asexual", "kind must be an EventKind"),
+    ("child_intelligence", "w", "child_intelligence must be an Ordinal"),
+])
+def test_event_refuses_a_mistyped_field(field, value, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        LineageEvent(**dict(_EVENT_ARGS, **{field: value}))
+
+
+@pytest.mark.parametrize("create", [
+    lambda parent, **ids: asexual_create(parent, lambda lam: 0, **ids),
+    lambda parent, **ids: nondeterministic_create(parent, 2, random.Random(0), **ids),
+    lambda parent, **ids: multi_parent_create(
+        (parent, agent("w", 9)), MultiParentRule(), random.Random(0), **ids
+    ),
+], ids=["asexual", "nondeterministic", "multi_parent"])
+@pytest.mark.parametrize("parent_id, child_id, event_index", [
+    (True, 1, 1), (0, 1.0, 1), (0, 1, False),
+])
+def test_creations_refuse_ids_that_are_not_ints(create, parent_id, child_id, event_index):
+    # An event holds only plain ints, so its JSON line is exact.
+    with pytest.raises(TypeError, match="^child_id, event_index and parent ids must be ints$"):
+        create(agent("w", parent_id), child_id=child_id, event_index=event_index)
+
+
+def test_multi_parent_create_refuses_an_intelligence_that_is_not_an_ordinal():
+    # Its terms would reach the intern table unchecked.
+    duck = type("Duck", (), {"terms": ((ZERO, 1), (o("w"), 1))})()
+    for parents, rule in [
+        ((Agent(0, duck), agent("w", 1)), MultiParentRule()),
+        ((agent("w", 0), agent("w", 1)), dataclasses.replace(MultiParentRule(), max_descent=0)),
+    ]:
+        if parents[0].intelligence is not duck:
+            object.__setattr__(rule, "bonus", duck)
+        with pytest.raises(TypeError, match="^parent intelligences and the bonus must be Ordinals$"):
+            multi_parent_create(parents, rule, random.Random(0), child_id=2)
+
+
+def _reference_multi_parent_child(parents, rule, rng):
+    """The child and draw multi_parent_create made before it worked on terms:
+    a natural_sum fold, add, then one descend per step."""
+    cap = ZERO
+    for p in parents:
+        cap = natural_sum(cap, p.intelligence)
+    cap = add(cap, rule.bonus)
+    m = rng.randint(0, rule.max_descent)
+    child = cap
+    for _ in range(m):
+        if child == ZERO:
+            break
+        n = rng.randint(0, 16)
+        child = descend(child, lambda lam: n)[0]
+    return child, m
+
+
+@hyp.given(
+    st.lists(st.one_of(_small_ordinals, ordinal_exprs), min_size=2, max_size=4),
+    st.builds(MultiParentRule, st.one_of(_small_ordinals, ordinal_exprs), st.integers(0, 12)),
+    st.integers(0, 2**64),
+)
+def test_multi_parent_create_matches_the_ordinal_chain(intels, rule, seed):
+    parents = [Agent(i, a, (), i) for i, a in enumerate(intels)]
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    want, m = _reference_multi_parent_child(parents, rule, reference_rng)
+    child, ev = multi_parent_create(parents, rule, rng, len(parents), 7)
+    assert child.intelligence is want and ev.child_intelligence is want
+    assert ev.seed_used == m
+    assert child == Agent(len(parents), want, tuple(range(len(parents))), len(parents))
+    assert rng.getstate() == reference_rng.getstate()

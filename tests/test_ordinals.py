@@ -1,4 +1,5 @@
 import random
+import time
 import sys
 
 import hypothesis as hyp
@@ -548,3 +549,23 @@ def test_a_hydra_over_the_node_budget_is_refused():
     assert HydraTree((leaf(),) * (HYDRA_NODE_LIMIT - 1)).size == HYDRA_NODE_LIMIT
     with pytest.raises(OrdinalOverflowError, match=r"^hydra of 10001 nodes is over the limit of 10000$"):
         HydraTree((leaf(),) * HYDRA_NODE_LIMIT)
+
+
+@pytest.mark.parametrize("shape, stage, size", [
+    ("((()))", 10**9, 10**9 + 1),
+    # the parent has three nodes, so each copy two; the grandparent is not the root
+    ("(()((()())()))", 10**7, 2 * 10**7 + 2),
+    ("((()()))", 5000, 10001),
+])
+def test_hydra_step_refuses_an_over_budget_stage_before_making_the_copies(shape, stage, size):
+    # The message is the one the node that receives the copies would raise.
+    start = time.perf_counter()
+    with pytest.raises(OrdinalOverflowError, match=f"^hydra of {size} nodes is over the limit of 10000$"):
+        hydra_step(parse_hydra(shape), stage)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_hydra_step_at_the_budget_is_built():
+    # 1 + 5000 * 2 = 10001 nodes would be over; 4999 copies of 2 nodes fill the budget to 9999.
+    assert hydra_step(parse_hydra("((()()))"), 4999).size == 9999
+    assert hydra_step(parse_hydra("((()))"), HYDRA_NODE_LIMIT - 1).size == HYDRA_NODE_LIMIT
