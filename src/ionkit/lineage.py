@@ -244,6 +244,9 @@ class LineageConfig:
 # creation operations
 # ---------------------------------------------------------------------------
 
+_MAX_PICK = 16  # a random descent step at a limit takes member randint(0, _MAX_PICK)
+
+
 def _check_ids(child_id: int, event_index: int, parent_ids: tuple[int, ...]) -> None:
     """``TypeError`` unless the ids a creation puts in its event are all ints."""
     if not (_is_int(child_id) and _is_int(event_index) and all(map(_is_int, parent_ids))):
@@ -292,14 +295,11 @@ def nondeterministic_create(
     if intel == ZERO:
         raise SterileAgentError(f"agent {parent.id} has intelligence 0")
     _check_int(k, "k", 1)
-    candidates = []
-    for _ in range(k):
-        # One draw per candidate even at a successor, where it goes unused:
-        # the draw order is part of every reproducible log.
-        n = rng.randint(0, 16)
-        candidates.append(descend(intel, lambda lam: n)[0])
+    # One draw per candidate even at a successor, where it goes unused: the
+    # draw order is part of every reproducible log. Only the chosen one is built.
+    picks = [rng.randint(0, _MAX_PICK) for _ in range(k)]
     seed_used = rng.randrange(k)
-    child_intel = candidates[seed_used]
+    child_intel = descend(intel, lambda lam: picks[seed_used])[0]
     assert child_intel < intel
     child = _agent(child_id, child_intel, ids, parent.generation + 1)
     return child, _event(
@@ -341,7 +341,7 @@ def multi_parent_create(
         if not terms:
             break
         # one draw per step, also at a successor, as in nondeterministic_create
-        terms = _descend_terms(terms, rng.randint(0, 16))
+        terms = _descend_terms(terms, rng.randint(0, _MAX_PICK))
     child_intel = _intern(terms)
     generation = 1 + max(p.generation for p in parents)
     child = _agent(child_id, child_intel, ids, generation)
@@ -395,7 +395,7 @@ def run_lineage(config: LineageConfig) -> list[LineageEvent]:
     ranked = sorted(founders, key=_rank, reverse=True)[:2] if mixed else founders[-1:]
 
     def picker(lam: Ordinal) -> int:
-        return rng.randint(0, 16)
+        return rng.randint(0, _MAX_PICK)
 
     for i in range(1, config.max_events + 1):
         best, n = ranked[0], len(events)  # every agent so far has one event

@@ -120,11 +120,10 @@ class LengthLimitError(LimitError):
 class NestingLimitError(LimitError):
     """Program text or an AST nests its groups deeper than the nesting limit.
 
-    The groups are ``Print(``, ``Head(``, ``Tail(``, ``Equals(``, ``Not(``,
-    ``While(...){...}``, ``If(...){...}`` and ``Else{...}``. The parser, the
-    serializer and the closure compiler recurse once per group, and all of
-    them raise this at the same depth, far inside the interpreter's
-    recursion limit.
+    Each keyword of a group in ``_SYNTAX`` opens one group, ``Else``
+    included. The parser, the serializer and the closure compiler recurse
+    once per group, and all of them raise this at the same depth, far inside
+    the interpreter's recursion limit.
     """
 
 
@@ -143,10 +142,6 @@ def _nest(depth: int, offset: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
-
-KEYWORDS = frozenset(
-    {"Print", "While", "If", "Else", "End", "True", "Equals", "Not", "Head", "Tail"}
-)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -288,6 +283,27 @@ def concat(*parts: Expr) -> Expr:
     return atoms[0] if len(atoms) == 1 else Concat(tuple(atoms))
 
 
+# The one description of the keyword groups: the parser reads it and the
+# serializer writes it. A group's sequence holds its keywords, its fixed
+# tokens and one marker per field, in the dataclass's field order: _EXPR an
+# expression, _COND a condition, _BLOCK statements and their closing "}".
+# Each keyword opens a group at that keyword and closes the one before it.
+_EXPR, _COND, _BLOCK = object(), object(), object()
+_SYNTAX: dict[type, tuple] = {
+    Print: ("Print", "(", _EXPR, ")", ";"),
+    While: ("While", "(", _COND, ")", "{", _BLOCK),
+    IfElse: ("If", "(", _COND, ")", "{", _BLOCK, "Else", "{", _BLOCK),
+    Head: ("Head", "(", _EXPR, ")"),
+    Tail: ("Tail", "(", _EXPR, ")"),
+    Equals: ("Equals", "(", _EXPR, ",", _EXPR, ")"),
+    Not: ("Not", "(", _COND, ")"),
+}
+
+KEYWORDS = frozenset(
+    {"End", "True"} | {t for ts in _SYNTAX.values() for t in ts if type(t) is str and t.isalpha()}
+)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -322,14 +338,8 @@ def _emit_expr(e: Expr, parts: list[str], depth: int) -> None:
             for x in ps[1:]:
                 parts.append("+")
                 _emit_expr(x, parts, depth)
-        case Head(arg=a):
-            parts.append("Head(")
-            _emit_expr(a, parts, _nest(depth))
-            parts.append(")")
-        case Tail(arg=a):
-            parts.append("Tail(")
-            _emit_expr(a, parts, _nest(depth))
-            parts.append(")")
+        case Head() | Tail():
+            _emit_group(e, parts, depth)
         case _:
             raise TypeError(f"not an Expr: {e!r}")
 
@@ -338,53 +348,41 @@ def _emit_cond(c: Cond, parts: list[str], depth: int) -> None:
     match c:
         case TrueCond():
             parts.append("True")
-        case Equals(left=l, right=r):
-            inner = _nest(depth)
-            parts.append("Equals(")
-            _emit_expr(l, parts, inner)
-            parts.append(",")
-            _emit_expr(r, parts, inner)
-            parts.append(")")
-        case Not(inner=i):
-            parts.append("Not(")
-            _emit_cond(i, parts, _nest(depth))
-            parts.append(")")
+        case Equals() | Not():
+            _emit_group(c, parts, depth)
         case _:
             raise TypeError(f"not a Cond: {c!r}")
 
 
 def _emit_stmt(s: Statement, parts: list[str], depth: int) -> None:
     match s:
-        case Print(expr=e):
-            parts.append("Print(")
-            _emit_expr(e, parts, _nest(depth))
-            parts.append(");")
         case Assign(name=n, expr=e):
             parts.append(n)
             parts.append("=")
             _emit_expr(e, parts, depth)
             parts.append(";")
-        case While(cond=c, body=b):
-            inner = _nest(depth)
-            parts.append("While(")
-            _emit_cond(c, parts, inner)
-            parts.append("){")
-            for st in b:
-                _emit_stmt(st, parts, inner)
-            parts.append("}")
-        case IfElse(cond=c, then_body=t, else_body=e):
-            inner = _nest(depth)
-            parts.append("If(")
-            _emit_cond(c, parts, inner)
-            parts.append("){")
-            for st in t:
-                _emit_stmt(st, parts, inner)
-            parts.append("}Else{")
-            for st in e:
-                _emit_stmt(st, parts, inner)
-            parts.append("}")
+        case Print() | While() | IfElse():
+            _emit_group(s, parts, depth)
         case _:
             raise TypeError(f"not a Statement: {s!r}")
+
+
+def _emit_group(node, parts: list[str], depth: int) -> None:
+    """Write the keyword group ``node`` as its _SYNTAX sequence says."""
+    # Every keyword of a group opens its group at the same depth.
+    inner = _nest(depth)
+    fields = iter([getattr(node, name) for name in node.__match_args__])
+    for token in _SYNTAX[type(node)]:
+        if token is _EXPR:
+            _emit_expr(next(fields), parts, inner)
+        elif token is _COND:
+            _emit_cond(next(fields), parts, inner)
+        elif token is _BLOCK:
+            for st in next(fields):
+                _emit_stmt(st, parts, inner)
+            parts.append("}")
+        else:
+            parts.append(token)
 
 
 def serialize(p: Program) -> str:
@@ -450,8 +448,7 @@ _LITERAL_PIECES_RE = re.compile(r"(?:[ -&(-\[\]-~]+|\\['\\n]){0,1024}")
 
 
 class _Parser:
-    # ``nesting`` counts the groups open at ``pos`` (see NestingLimitError);
-    # each production that opens one brackets it with open_group/close_group.
+    # ``nesting`` counts the groups open at ``pos`` (see NestingLimitError).
     def __init__(self, source: str):
         self.src = source
         self.pos = 0
@@ -472,13 +469,6 @@ class _Parser:
         if not self.src.startswith(token, self.pos):
             self.fail(f"'{token}'")
         self.pos += len(token)
-
-    def open_group(self) -> None:
-        """Count the group whose keyword starts at ``pos``."""
-        self.nesting = _nest(self.nesting, self.pos)
-
-    def close_group(self) -> None:
-        self.nesting -= 1
 
     def at_keyword(self, kw: str) -> bool:
         # True only at a token boundary, so 'Endless' is an identifier.
@@ -538,46 +528,38 @@ class _Parser:
                 return tuple(stmts)
             stmts.append(self.statement())
 
+    def group(self, classes: tuple[type, ...]):
+        """The group of whichever of ``classes`` has its keyword at ``pos``, or None."""
+        for cls in classes:
+            if self.at_keyword(_SYNTAX[cls][0]):
+                break
+        else:
+            return None
+        outer, fields = self.nesting, []
+        for token in _SYNTAX[cls]:
+            if token is _EXPR:
+                fields.append(self.expr())
+            elif token is _COND:
+                fields.append(self.cond())
+            elif token is _BLOCK:
+                fields.append(self.block())
+            elif token.isalpha():
+                if fields:  # a later keyword; the first one was found above
+                    self.skip_ws()
+                    if not self.at_keyword(token):
+                        self.fail(f"'{token}'")
+                self.nesting = _nest(outer, self.pos)
+                self.pos += len(token)
+            else:
+                self.eat(token)
+        self.nesting = outer
+        return cls(*fields)
+
     def statement(self) -> Statement:
         self.skip_ws()
         start = self.pos
-        if self.at_keyword("Print"):
-            self.open_group()
-            self.pos += 5
-            self.eat("(")
-            e = self.expr()
-            self.eat(")")
-            self.close_group()
-            self.eat(";")
-            return Print(e)
-        if self.at_keyword("While"):
-            self.open_group()
-            self.pos += 5
-            self.eat("(")
-            c = self.cond()
-            self.eat(")")
-            self.eat("{")
-            body = self.block()
-            self.close_group()
-            return While(c, body)
-        if self.at_keyword("If"):
-            self.open_group()
-            self.pos += 2
-            self.eat("(")
-            c = self.cond()
-            self.eat(")")
-            self.eat("{")
-            then_body = self.block()
-            self.close_group()
-            self.skip_ws()
-            if not self.at_keyword("Else"):
-                self.fail("'Else'")
-            self.open_group()
-            self.pos += 4
-            self.eat("{")
-            else_body = self.block()
-            self.close_group()
-            return IfElse(c, then_body, else_body)
+        if (node := self.group((Print, While, IfElse))) is not None:
+            return node
         name = self.ident()
         if name in KEYWORDS:
             self.fail("statement", at=start)
@@ -604,15 +586,8 @@ class _Parser:
         ch = self.src[self.pos]
         if ch == "'":
             return self.literal()
-        if self.at_keyword("Head") or self.at_keyword("Tail"):
-            kw = self.src[self.pos : self.pos + 4]
-            self.open_group()
-            self.pos += 4
-            self.eat("(")
-            e = self.expr()
-            self.eat(")")
-            self.close_group()
-            return Head(e) if kw == "Head" else Tail(e)
+        if (node := self.group((Head, Tail))) is not None:
+            return node
         start = self.pos
         m = _IDENT_TOKEN_RE.match(self.src, self.pos)
         if not m or m.group() in KEYWORDS:
@@ -642,24 +617,8 @@ class _Parser:
         if self.at_keyword("True"):
             self.pos += 4
             return TrueCond()
-        if self.at_keyword("Equals"):
-            self.open_group()
-            self.pos += 6
-            self.eat("(")
-            l = self.expr()
-            self.eat(",")
-            r = self.expr()
-            self.eat(")")
-            self.close_group()
-            return Equals(l, r)
-        if self.at_keyword("Not"):
-            self.open_group()
-            self.pos += 3
-            self.eat("(")
-            c = self.cond()
-            self.eat(")")
-            self.close_group()
-            return Not(c)
+        if (node := self.group((Equals, Not))) is not None:
+            return node
         self.fail("condition")
 
 
@@ -900,16 +859,12 @@ def _compile_expr(e: Expr, reads: set[str], depth: int) -> Callable[[_Run], obje
                     v = _concat_val(v, f(run))
                 return v
             return cat
-        case Head(arg=a):
+        case Head(arg=a) | Tail(arg=a):
             af = _compile_expr(a, reads, _nest(depth))
-            def head(run: _Run):
-                return _head(af(run))
-            return head
-        case Tail(arg=a):
-            af = _compile_expr(a, reads, _nest(depth))
-            def tail(run: _Run):
-                return _tail(af(run))
-            return tail
+            primitive = _head if isinstance(e, Head) else _tail
+            def head_or_tail(run: _Run):
+                return primitive(af(run))
+            return head_or_tail
         case _:
             raise TypeError(f"not an Expr: {e!r}")
 
@@ -1314,10 +1269,8 @@ def _skeleton_source(stmts: tuple[Statement, ...]) -> tuple[str, dict[str, objec
                 for x in ps[1:]:
                     code = f"_concat_val({code}, {expr(x)})"
                 return code
-            case Head(arg=a):
-                return f"_head({expr(a)})"
-            case Tail(arg=a):
-                return f"_tail({expr(a)})"
+            case Head(arg=a) | Tail(arg=a):
+                return f"{'_head' if isinstance(e, Head) else '_tail'}({expr(a)})"
         raise TypeError(f"not an Expr: {e!r}")
 
     def cond(c: Cond) -> str:

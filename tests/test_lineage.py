@@ -584,6 +584,25 @@ def test_golden_nondeterministic_draws():
     assert _sha("".join(lines).encode()) == "f65dbccc4cceae2a438fdece1ce41e1ad7dbad9435e69cc956af4e849600a5b2"
 
 
+@hyp.given(ordinal_exprs, st.integers(1, 5), st.integers(0, 2**32))
+def test_nondeterministic_create_builds_one_candidate_of_the_k_drawn(intel, k, seed):
+    hyp.assume(intel != ZERO)
+    # the reference builds every candidate and keeps the one drawn
+    ref_rng = random.Random(seed)
+    candidates = []
+    for _ in range(k):
+        n = ref_rng.randint(0, 16)
+        candidates.append(descend(intel, lambda lam: n)[0])
+    ref_index = ref_rng.randrange(k)
+    rng, built = random.Random(seed), []
+    real_descend = ionkit.lineage.descend
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ionkit.lineage, "descend", lambda *a: built.append(a) or real_descend(*a))
+        child, ev = nondeterministic_create(Agent(0, intel), k, rng, child_id=1)
+    assert (child.intelligence, ev.seed_used) == (candidates[ref_index], ref_index)
+    assert rng.getstate() == ref_rng.getstate() and len(built) == 1
+
+
 def test_golden_descent_walks():
     lines = []
     for seed in range(20):

@@ -171,6 +171,66 @@ def test_parse_literal_escapes():
     assert p == Program((Print(Literal("a'b\\n\n~ ")),))
 
 
+# Each source uses all seven keyword groups, with blanks between the tokens.
+PARSE_ERROR_SOURCES = (
+    "X = 'ab' ; While( Not( Equals( X , '' ) ) ){ If( Equals( Head( X ) , 'a' ) )"
+    "{ Print( X ); } Else { Print( Tail( X ) ); } X = Tail( X ); } End",
+    "Y = 'q\\'s' + Head( 'x' ) ; If( True ){ } Else { While( Not( Equals( Y , Tail( Y ) ) ) )"
+    "{ Print( Y + 'z' ); } } End",
+    "Endless = 'a\\\\b\\n' ; While( True ){ If( Not( Equals( Endless , Tail( 'c' ) ) ) )"
+    "{ Print( Head( Endless ) ); } Else { } } End ",
+)
+
+
+def _parse_error_corpus() -> list[str]:
+    """Every proper prefix and one-character deletion of each source, and each
+    of ``(){};,'=+ EIxé`` inserted at every third offset."""
+    corpus = []
+    for src in PARSE_ERROR_SOURCES:
+        corpus += [src[:i] for i in range(len(src))]
+        corpus += [src[:i] + src[i + 1 :] for i in range(len(src))]
+        corpus += [src[:i] + ch + src[i:] for i in range(0, len(src) + 1, 3) for ch in "(){};,'=+ EIxé"]
+    return corpus
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return repr(parse(text))
+    except ParseError as err:
+        return repr((type(err).__name__, err.offset, err.expected, err.found))
+
+
+# sha256 of every outcome on the corpus, one line each, computed before the
+# parser read its keyword groups from one table: each error keeps its offset,
+# expected text and found text.
+PARSE_ERROR_CORPUS_SHA256 = "501083569b6b495d102c6241967e027247138709c46979768225def82a0e03e0"
+
+
+def test_parse_outcomes_on_the_error_corpus_are_pinned():
+    corpus = _parse_error_corpus()
+    outcomes = [_parse_outcome(text) for text in corpus]
+    assert sum(o.startswith("('ParseError'") for o in outcomes) > len(corpus) // 2
+    digest = hashlib.sha256("\n".join(outcomes).encode("utf-8")).hexdigest()
+    assert (len(corpus), digest) == (2566, PARSE_ERROR_CORPUS_SHA256)
+
+
+@pytest.mark.parametrize(
+    "src, outcome",
+    [
+        ("If(True){}Elsx{}End", (10, "'Else'", "Elsx{}End")),
+        ("If(True){}Elsewhere{}End", (10, "'Else'", "Elsewhere{}E")),
+        ("If(True){} Else {}End", None),
+    ],
+)
+def test_else_hands_the_group_over_at_its_keyword(src, outcome):
+    if outcome is None:
+        assert parse(src) == Program((IfElse(TrueCond(), (), ()),))
+        return
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.offset, exc.value.expected, exc.value.found) == outcome
+
+
 def test_concat_constructor_rejects_left_nesting():
     a, b, c = Literal("a"), Literal("b"), Literal("c")
     with pytest.raises(ValueError):

@@ -225,10 +225,11 @@ def test_fs_below_and_increasing(a, n):
     assert fundamental_sequence(a, n) < fundamental_sequence(a, n + 1)
 
 
-@hyp.given(ordinal_exprs, ordinal_exprs)
-def test_fs_reaches_any_smaller_ordinal(lam, b):
-    hyp.assume(classify(lam) is Kind.LIMIT)
-    hyp.assume(b < lam)
+@hyp.given(ordinal_exprs, ordinal_exprs, ordinal_exprs)
+def test_fs_reaches_any_smaller_ordinal(b, h, e):
+    # Built, not filtered: every limit above b is b + h + w^e for some h and some e > 0.
+    lam = add(b, add(h, omega_pow(e if e is not ZERO else ONE)))
+    assert classify(lam) is Kind.LIMIT and b < lam
     n = 0
     while n <= 10**4:
         if fundamental_sequence(lam, n) >= b:
