@@ -412,7 +412,9 @@ def serialize(p: Program) -> str:
 _SKELETON_FNS: dict[tuple[int, ...], tuple[frozenset[str], tuple, tuple[Statement, ...], str]] = {}
 # id of each text a skeleton assigns as a top-level literal -> its escape and
 # count of quotes (see _fuse_escape_loop). The skeleton's statements keep the
-# text alive, so its id names no other object.
+# text alive, so its id names no other object. It holds those texts' escapes
+# only, for as long as the process runs; every other text a fused escape
+# loop escapes is kept, up to a bound, in its run's memo and only for that run.
 _LITERAL_ESCAPES: dict[int, tuple[str, int]] = {}
 
 
@@ -821,7 +823,7 @@ def _eq(lv, rv) -> bool:
 
 
 class _Run:
-    __slots__ = ("env", "outputs", "steps", "max_steps", "max_outputs")
+    __slots__ = ("env", "outputs", "steps", "max_steps", "max_outputs", "escapes", "escaped_len")
 
     def __init__(self, fuel: Fuel):
         self.env: dict[str, object] = {}
@@ -829,6 +831,10 @@ class _Run:
         self.steps = 0
         self.max_steps = fuel.max_steps
         self.max_outputs = fuel.max_outputs
+        # The run's escape memo (see _fuse_escape_loop), made on its first
+        # miss, and the characters of its keys and escapes.
+        self.escapes: dict[str, tuple[str, int]] | None = None
+        self.escaped_len = 0
 
 
 # The AST is translated to a tree of closures before a run; the compiled
@@ -1046,12 +1052,27 @@ def _fuse_escape_loop(
 ) -> Callable[[_Run], None]:
     # The driver escapes its own source text, the skeleton's literal L, for
     # every output: a text that is such a literal takes the escape made once
-    # when the skeleton was registered. Any other text is escaped afresh, and
-    # nothing keeps it or its escape once the run is over.
+    # when the skeleton was registered. Any other text is looked up by value
+    # in the run's memo, which the driver's wrap loops hit: at output n they
+    # re-quote the texts they quoted at output n-1. A miss is escaped and
+    # kept until the run ends, unless it would take the memo's texts and
+    # escapes past _MAX_VALUE_LEN characters.
     def do_escape(run: _Run) -> None:
         env = run.env
         s = _to_str(env[walk])
-        escaped, quotes = _LITERAL_ESCAPES.get(id(s)) or _escape(s)
+        entry = _LITERAL_ESCAPES.get(id(s))
+        if entry is None:
+            memo = run.escapes
+            if memo is None:
+                memo = run.escapes = {}
+            entry = memo.get(s)
+            if entry is None:
+                entry = _escape(s)
+                size = run.escaped_len + len(s) + len(entry[0])
+                if size <= _MAX_VALUE_LEN:
+                    memo[s] = entry
+                    run.escaped_len = size
+        escaped, quotes = entry
         if _vlen(env[dst]) + len(escaped) > _MAX_VALUE_LEN:
             return plain(run)
         # 1 for the final check; per character 6, or 5 for a quote, which
@@ -1369,6 +1390,11 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
     generated for it at import. Every other program runs as a tree of
     closures built for this call. Neither path changes outputs, status,
     errors or ``steps_used``.
+
+    The escape loops of one call share a memo from each text they escaped to
+    its escape, so a text quoted again is not escaped again. It holds at
+    most the length limit's count of characters of texts plus escapes, and
+    it is dropped when the call returns.
     """
     top = _compile_program(p.statements)
     run = _Run(fuel)

@@ -1010,7 +1010,7 @@ def test_escape_literal_outside_the_alphabet_keeps_the_chain_bytes(text):
 
 # ---------------------------------------------------------------------------
 # a fused escape loop reuses the escape of a skeleton's literal, made once,
-# for that very str object, and keeps nothing else
+# for that very str object; every other escape is kept by its run only
 # ---------------------------------------------------------------------------
 
 def _escape_twice(s: str, again: Expr) -> Program:
@@ -1082,7 +1082,9 @@ def test_escape_memo_hits_only_on_the_very_same_object(monkeypatch):
     t = "".join(list(s))
     assert t == s and t is not s
     miss = escape(t)
-    assert miss == first and miss[0] is not entry[0]  # an equal but distinct str misses
+    # An equal but distinct str misses the table. Each call above is a fresh
+    # run with an empty memo, so the miss is escaped afresh.
+    assert miss == first and miss[0] is not entry[0]
 
 
 def _literal_escapes_of_the_skeletons() -> dict:
@@ -1134,6 +1136,152 @@ def test_escape_loops_keep_nothing_after_a_run(text, fuel, longest):
     finally:
         tracemalloc.stop()
     assert kept < 2**16, kept
+
+
+# ---------------------------------------------------------------------------
+# a run's escape loops share one memo: each distinct text is escaped once per
+# run, within the length limit, with the same Trace as the passes
+# ---------------------------------------------------------------------------
+
+# short texts over the literal alphabet, half their characters \ ' or newline
+memo_texts = st.text(st.one_of(st.sampled_from("\\'\n"), _printable), max_size=6)
+
+
+def _escape_each(texts: list[str], uses: list[tuple[int, bool]]) -> Program:
+    """T<i>=texts[i]; a loop run twice that escapes T<i> into D for each (i, copy)
+    of ``uses``: the very str T<i> holds, or an equal but distinct one if copy."""
+    body = [Assign("N", Tail(Var("N")))]
+    for i, copy in uses:
+        t = Var(f"T{i}")
+        body.append(Assign("W", concat(Head(t), Tail(t)) if copy and texts[i] else t))
+        body.append(escape_loop("W", "H", "D"))
+    return Program((
+        *(Assign(f"T{i}", Literal(t)) for i, t in enumerate(texts)),
+        Assign("N", Literal("II")),
+        Assign("H", Literal("h")),
+        Assign("D", Literal(">")),
+        While(Not(Equals(Var("N"), Literal(""))), tuple(body)),
+        Print(Var("D")),
+        Print(Var("H")),
+    ))
+
+
+memo_programs = st.lists(memo_texts, min_size=1, max_size=3).flatmap(
+    lambda texts: st.tuples(
+        st.just(texts),
+        st.lists(st.tuples(st.integers(0, len(texts) - 1), st.booleans()), min_size=1, max_size=4),
+    )
+)
+
+
+@hyp.given(memo_programs, st.none() | st.integers(8, 64))
+# the same str, an equal copy and another text; then the same with dst too long
+@hyp.example((["a'b\\", "c\nd"], [(0, False), (0, True), (1, False)]), None)
+@hyp.example((["a'b\\", "c\nd"], [(0, False), (0, True), (1, False)]), 12)
+# a memo that fills up: 5 + 9 characters for the first text, then no room for the second
+@hyp.example((["a'\\'\\", "\\\\\\\\\\'"], [(0, False), (1, False), (1, True)]), 20)
+def test_escape_memo_matches_the_passes_at_every_step_budget_on_drawn_texts(pool, limit):
+    texts, uses = pool
+    p = _escape_each(texts, uses)
+    # the steps of the whole run, or more: up to 6 assignments, two passes
+    # of the loop and a last check, and the two Prints
+    most = 13 + 2 * sum(2 + 6 * len(texts[i]) for i, _ in uses)
+    with pytest.MonkeyPatch.context() as m:
+        if limit is not None:
+            m.setattr(objlang, "_MAX_VALUE_LEN", limit)
+        full = _fast_and_plain(p, Fuel(most, 2))
+        assert full[0] == full[1]
+        if limit is None:
+            escaped = "".join(objlang._escape(texts[i])[0] for i, _ in uses)
+            assert full[0].status is TraceStatus.HALTED
+            assert full[0].outputs[0] == ">" + escaped * 2
+        for max_steps in range(1, most + 1):
+            fast, plain = _fast_and_plain(p, Fuel(max_steps, 2))
+            assert fast == plain, max_steps
+    assert (fast, plain) == full
+
+
+@pytest.mark.parametrize("max_outputs, parent_calls", [(4, 10), (8, 36), (12, 78)])
+def test_driver_escapes_each_distinct_text_once_per_run(max_outputs, parent_calls, monkeypatch):
+    # w^2's output n re-quotes its member's core n times with the driver's
+    # wrap loops. Before the run memo each of those loops escaped its text
+    # afresh: parent_calls texts, quadratic in the outputs.
+    expected = _literal_escapes_of_the_skeletons()
+    escaped, real = [], objlang._escape
+
+    def counted(s):
+        escaped.append(s)
+        return real(s)
+
+    monkeypatch.setattr(objlang, "_escape", counted)
+    trace = evaluate(compile_ordinal(parse_ordinal("w^2")), Fuel(10**7, max_outputs))
+    assert len(trace.outputs) == max_outputs
+    assert len(escaped) == len(set(escaped)) == max_outputs < parent_calls
+    assert not any(s is _DRIVER_CODE_TEXT for s in escaped)  # L is the table's
+    assert objlang._LITERAL_ESCAPES == expected
+
+
+def test_escape_memo_stays_within_the_length_limit(monkeypatch):
+    # S gains a quote a pass, so each pass escapes a longer distinct text.
+    # Text j+1 ("a" and j quotes) and its escape take 3j+2 characters: the
+    # first 11 take 187, and the 12th would take the memo past 200.
+    p = Program((
+        Assign("S", Literal("a")),
+        Assign("N", Literal("I" * 30)),
+        Assign("H", Literal("h")),
+        Assign("D", Literal("")),
+        While(Not(Equals(Var("N"), Literal(""))), (
+            Assign("N", Tail(Var("N"))),
+            Assign("W", Var("S")),
+            Assign("D", Literal("")),
+            escape_loop("W", "H", "D"),
+            Assign("S", concat(Var("S"), Literal("'"))),
+        )),
+        Print(Var("D")),
+    ))
+    monkeypatch.setattr(objlang, "_MAX_VALUE_LEN", 200)
+    runs = []
+
+    class Recorded(objlang._Run):
+        def __init__(self, fuel):
+            super().__init__(fuel)
+            runs.append(self)
+
+    monkeypatch.setattr(objlang, "_Run", Recorded)
+    trace = evaluate(p, Fuel(10**5, 1))
+    assert trace.outputs == ("a" + "\\'" * 29,)
+    (run,) = runs
+    assert list(run.escapes) == ["a" + "'" * j for j in range(11)]
+    held = sum(len(k) + len(e) for k, (e, _) in run.escapes.items())
+    assert held == run.escaped_len == 187
+    full = _fast_and_plain(p, Fuel(10**5, 1))
+    assert full == (trace, trace)
+    for max_steps in (*range(1, trace.steps_used, 11), trace.steps_used - 1):
+        fast, plain = _fast_and_plain(p, Fuel(max_steps, 1))
+        assert fast == plain, max_steps
+
+
+# Peak bytes tracemalloc traced during each run below before escapes had a
+# run memo (CPython 3.11.7, x86-64). The memo keeps each text a run escaped,
+# and its escape, until the run ends.
+@pytest.mark.parametrize(
+    "text, fuel, parent_peak",
+    [("w^2*3+w", Fuel(10**7, 16), 7_672_831), ("w^2", Fuel(10**7, 12), 580_333)],
+    ids=["a0", "driver_wraps"],
+)
+def test_escape_memo_peak_stays_within_half_again_of_no_memo(text, fuel, parent_peak):
+    p = compile_ordinal(parse_ordinal(text))
+    evaluate(p, Fuel(10, 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = evaluate(p, fuel)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.outputs
+    assert peak <= 1.5 * parent_peak, peak
 
 
 def test_shared_escape_memos_stay_consistent_across_threads():
