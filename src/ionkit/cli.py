@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain errors (unparsable input, input past one of
 the library's limits: nesting, string length or source size, missing files,
 a malformed lineage config, an ``-o`` path that is its own ``.cert`` path,
-certificate mismatch, refuted verification under --expect), 2 usage errors.
+certificate mismatch in program bytes or proven value, refuted verification
+under --expect), 2 usage errors.
 Each subcommand builds its result once as a dict; ``--json`` prints it as one
 JSON object, and text mode prints it as ``key: value`` lines (see
 :func:`_report`) after an optional head line. ``compile``, ``compare``,
@@ -169,17 +170,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _mismatch(what: str, actual: str, claimed: str) -> int:
+    print(f"certificate mismatch: {what} {actual} != {claimed}", file=sys.stderr)
+    return 1
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     program = parse(Path(args.path).read_text(encoding="utf-8"))
     if args.expect:
-        _, expected_sha = parse_certificate(Path(args.expect).read_text(encoding="utf-8"))
+        claim_text, expected_sha = parse_certificate(Path(args.expect).read_text(encoding="utf-8"))
+        try:
+            claim = parse_ordinal(claim_text)
+        except OrdinalError as exc:
+            raise ValueError(f"certificate {args.expect}: {exc}") from None
         actual_sha = source_sha256(serialize(program))
         if actual_sha != expected_sha:
-            print(
-                f"certificate mismatch: program sha256 {actual_sha} != {expected_sha}",
-                file=sys.stderr,
-            )
-            return 1
+            return _mismatch("program sha256", actual_sha, expected_sha)
     result = verify(program, Fuel(args.max_steps, args.max_outputs), args.depth)
     verdict = result.verdict
     if isinstance(verdict, ProvenMember):
@@ -193,6 +199,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         }
     spent = asdict(result.fuel_spent)
     _report(args, {"verdict": type(verdict).__name__, **fields, "fuelSpent": spent})
+    if args.expect and isinstance(verdict, ProvenMember) and verdict.exact_value != claim:
+        return _mismatch("exact value", fields["exactValue"], format_ordinal(claim))
     return 1 if args.expect and isinstance(verdict, Refuted) else 0
 
 

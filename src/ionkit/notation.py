@@ -21,7 +21,8 @@ Compilation shapes:
   source text. Each iteration the driver computes the encoding of the n-th
   member of the ordinal's fundamental sequence and rebuilds the matching
   source text, quoting ``L`` into child drivers where the member is again a
-  deep limit.
+  deep limit. The driver and the re-wrap loop above are object-language
+  text in this module, parsed once at import.
 
 The normative contract is compositional: output n of a compiled limit is
 byte-equal to the serialization of the compiled n-th fundamental-sequence
@@ -35,35 +36,28 @@ import re
 from collections.abc import Generator
 from dataclasses import dataclass
 from functools import lru_cache
+from string import Template
 from typing import Union
 
 from .objlang import (
     _MAX_VALUE_LEN,
     Assign,
-    Equals,
     EvalError,
     Fuel,
-    Head,
-    IfElse,
     LimitError,
     Literal,
-    Not,
     ObjLangError,
     OpenProgramError,
     ParseError,
     Print,
     Program,
-    Statement,
-    Tail,
     TraceStatus,
-    TrueCond,
-    Var,
     While,
     _comma_scan,
     _paren_scan,
     _register_skeleton,
     _unary_scan,
-    concat,
+    escape_literal,
     escape_loop,
     evaluate,
     parse,
@@ -155,24 +149,30 @@ def _decode(s: str) -> Ordinal:
 
 
 # ---------------------------------------------------------------------------
-# skeleton A0: limits of the form base + w*c
-#
-# X holds the current output's source; each iteration prints it and re-wraps
-# it in Print('...');End, escaping quotes and backslashes with the same loop
-# the driver uses.
+# skeletons, written in the object language and parsed once at import
 # ---------------------------------------------------------------------------
 
-def _esc_stmts(src: str, dst: str, walk: str = "V", char: str = "M") -> tuple[Statement, ...]:
-    """dst = src with backslashes doubled and quotes backslashed, one char per pass."""
-    return (Assign(dst, Literal("")), Assign(walk, Var(src)), escape_loop(walk, char, dst))
+def _loop_text(loop: While) -> str:
+    """The text of a loop objlang builds; parsed, it equals the loop the matcher compares."""
+    return serialize(Program((loop,))).removesuffix("End")
 
 
-_A0_WHILE = While(
-    TrueCond(),
-    (Print(Var("X")),)
-    + _esc_stmts("X", "E", walk="R", char="H")
-    + (Assign("X", concat(Literal("Print('"), Var("E"), Literal("');End"))),),
-)
+def _esc(src: str, dst: str, walk: str = "V", char: str = "M") -> str:
+    """Text that sets dst to src with backslashes doubled and quotes backslashed."""
+    return f"{dst}='';{walk}={src};" + _loop_text(escape_loop(walk, char, dst))
+
+
+def _split(src: str) -> str:
+    """Text that splits the leading term of the nonempty encoding in ``src``: the
+    exponent's encoding to B, the unary coefficient to K, and the other terms to W."""
+    return (f"B='';P='I';W=Tail({src});{_loop_text(_paren_scan('P', 'W', 'M', 'B'))}"
+            f"K='';Q='x';{_loop_text(_unary_scan('Q', 'W', 'K'))}")
+
+
+# Skeleton A0: limits of the form base + w*c. X holds the current output's
+# source; each iteration prints it and re-wraps it in Print('...');End,
+# escaping quotes and backslashes with the same loop the driver uses.
+(_A0_WHILE,) = parse(rf"While(True){{Print(X);{_esc('X', 'E', 'R', 'H')}X='Print(\''+E+'\');End';}}End").statements
 
 # Serialization of everything after the X= assignment, shared with the driver.
 _A0_REST = _register_skeleton((_A0_WHILE,), {"X"})
@@ -182,8 +182,7 @@ def _a0_program(base_source: str) -> Program:
     return Program((Assign("X", Literal(base_source)), _A0_WHILE))
 
 
-# ---------------------------------------------------------------------------
-# universal driver: all other limits
+# Universal driver: all other limits.
 #
 # Register map (single letters keep the quoted source small):
 #   C encoding of the compiled ordinal      L driver source text (quine data)
@@ -195,185 +194,52 @@ def _a0_program(base_source: str) -> Program:
 #   P unary paren depth   M current character   Q scan flag
 #   J pending successor wraps   Y pending omega wraps
 #   U escaped text   V escape-loop walk
-# ---------------------------------------------------------------------------
-
-def _first_split_stmts(src: str) -> tuple[Statement, ...]:
-    """Split the leading term of a nonempty encoding held in ``src``.
-
-    Leaves the exponent encoding in B, the unary coefficient in K, and the
-    remaining terms in W.
-    """
-    return (
-        Assign("B", Literal("")),
-        Assign("P", Literal("I")),
-        Assign("W", Tail(Var(src))),
-        _paren_scan("P", "W", "M", "B"),
-        Assign("K", Literal("")),
-        Assign("Q", Literal("x")),
-        _unary_scan("Q", "W", "K"),
-    )
-
-
-# Fundamental-sequence step: from C (encoding of the limit) and N (unary n),
-# leave the encoding of the n-th member in D. Iterative descent: successor
-# exponents terminate, limit exponents push their rest-frame onto S and recurse
-# into the exponent; afterwards the frames are unwound as w^(...)·1 wraps.
-_FS_STMTS: tuple[Statement, ...] = (
-    Assign("S", Literal("")),
-    Assign("A", Var("C")),
-    Assign("F", Literal("")),
-    While(
-        Equals(Var("F"), Literal("")),
-        _first_split_stmts("A")
-        + (
-            IfElse(
-                Equals(Var("K"), Literal("I")),
-                (Assign("G", Var("W")),),
-                (
-                    Assign(
-                        "G",
-                        concat(
-                            Literal("("), Var("B"), Literal(")"), Tail(Var("K")), Var("W")
-                        ),
-                    ),
-                ),
-            ),
-            IfElse(
-                Equals(Head(Tail(Var("B"))), Literal(")")),
-                (
-                    # successor exponent: drop its "()" term and one I
-                    Assign("B", Tail(Tail(Tail(Var("B"))))),
-                    IfElse(
-                        Equals(Var("B"), Literal("")),
-                        (),
-                        (
-                            IfElse(
-                                Equals(Head(Var("B")), Literal("I")),
-                                (Assign("B", concat(Literal("()"), Var("B"))),),
-                                (),
-                            ),
-                        ),
-                    ),
-                    IfElse(
-                        Equals(Var("N"), Literal("")),
-                        (Assign("D", Var("G")),),
-                        (
-                            Assign(
-                                "D",
-                                concat(
-                                    Literal("("), Var("B"), Literal(")"), Var("N"), Var("G")
-                                ),
-                            ),
-                        ),
-                    ),
-                    Assign("F", Literal("x")),
-                ),
-                (
-                    # limit exponent: remember the rest, step into the exponent
-                    Assign("S", concat(Var("G"), Literal(","), Var("S"))),
-                    Assign("A", Var("B")),
-                ),
-            ),
-        ),
-    ),
-    While(
-        Not(Equals(Var("S"), Literal(""))),
-        (
-            Assign("G", Literal("")),
-            _comma_scan("S", "G"),
-            Assign("S", Tail(Var("S"))),
-            Assign("D", concat(Literal("("), Var("D"), Literal(")I"), Var("G"))),
-        ),
-    ),
-)
-
-# Source build: from D (encoding of the member), leave its source text in T.
-# Peel a finite part into J and a trailing w-coefficient into Y; the remaining
-# core is 0 or a deep limit, which becomes End or a child driver.
-_SB_STMTS: tuple[Statement, ...] = (
-    Assign("J", Literal("")),
-    IfElse(
-        Equals(Var("D"), Literal("")),
-        (),
-        _first_split_stmts("D")
-        + (
-            IfElse(
-                Equals(Var("B"), Literal("")),
-                (Assign("J", Var("K")), Assign("D", Var("W"))),
-                (),
-            ),
-        ),
-    ),
-    Assign("Y", Literal("")),
-    IfElse(
-        Equals(Var("D"), Literal("")),
-        (),
-        _first_split_stmts("D")
-        + (
-            IfElse(
-                Equals(Var("B"), Literal("()I")),
-                (Assign("Y", Var("K")), Assign("D", Var("W"))),
-                (),
-            ),
-        ),
-    ),
-    IfElse(
-        Equals(Var("D"), Literal("")),
-        (Assign("T", Literal("End")),),
-        _esc_stmts("L", "U")
-        + (
-            Assign(
-                "T",
-                concat(
-                    Literal("C='"),
-                    Var("D"),
-                    Literal("';L='"),
-                    Var("U"),
-                    Literal("';"),
-                    Var("L"),
-                ),
-            ),
-        ),
-    ),
-    While(
-        Not(Equals(Var("Y"), Literal(""))),
-        (Assign("Y", Tail(Var("Y"))),)
-        + _esc_stmts("T", "U")
-        + (
-            Assign(
-                "T",
-                concat(Literal("X='"), Var("U"), Literal("';" + _A0_REST)),
-            ),
-        ),
-    ),
-    While(
-        Not(Equals(Var("J"), Literal(""))),
-        (Assign("J", Tail(Var("J"))),)
-        + _esc_stmts("T", "U")
-        + (
-            Assign(
-                "T",
-                concat(Literal("Print('"), Var("U"), Literal("');End")),
-            ),
-        ),
-    ),
-)
-
+#
 # Working registers are zeroed up front so the program is statically closed;
 # the first loop iteration assigns them all before use anyway.
-_DRIVER_STMTS: tuple[Statement, ...] = tuple(
-    Assign(reg, Literal("")) for reg in "ABDFGJKMNPQSTUVWY"
-) + (
-    While(
-        TrueCond(),
-        _FS_STMTS
-        + _SB_STMTS
-        + (
-            Print(Var("T")),
-            Assign("N", concat(Var("N"), Literal("I"))),
-        ),
-    ),
-)
+#
+# Fundamental-sequence step (the first two loops): from C (encoding of the
+# limit) and N (unary n), leave the encoding of the n-th member in D.
+# Iterative descent: a successor exponent drops its "()" term and one I and
+# terminates; a limit exponent pushes its rest-frame onto S and the loop steps
+# into the exponent. Afterwards the frames are unwound as w^(...)·1 wraps.
+#
+# Source build (the rest): from D (encoding of the member), leave its source
+# text in T. Peel a finite part into J and a trailing w-coefficient into Y;
+# the remaining core is 0 or a deep limit, which becomes End or a child driver.
+_DRIVER_STMTS = parse(Template(r"""
+A='';B='';D='';F='';G='';J='';K='';M='';N='';P='';Q='';S='';T='';U='';V='';W='';Y='';
+While(True){
+  S='';A=C;F='';
+  While(Equals(F,'')){
+    $split_A
+    If(Equals(K,'I')){G=W;}Else{G='('+B+')'+Tail(K)+W;}
+    If(Equals(Head(Tail(B)),')')){
+      B=Tail(Tail(Tail(B)));
+      If(Equals(B,'')){}Else{If(Equals(Head(B),'I')){B='()'+B;}Else{}}
+      If(Equals(N,'')){D=G;}Else{D='('+B+')'+N+G;}
+      F='x';
+    }Else{
+      S=G+','+S;A=B;
+    }
+  }
+  While(Not(Equals(S,''))){G='';$comma S=Tail(S);D='('+D+')I'+G;}
+
+  J='';
+  If(Equals(D,'')){}Else{$split_D If(Equals(B,'')){J=K;D=W;}Else{}}
+  Y='';
+  If(Equals(D,'')){}Else{$split_D If(Equals(B,'()I')){Y=K;D=W;}Else{}}
+  If(Equals(D,'')){T='End';}Else{$esc_L T='C=\''+D+'\';L=\''+U+'\';'+L;}
+  While(Not(Equals(Y,''))){Y=Tail(Y);$esc_T T='X=\''+U+'\';$a0_rest';}
+  While(Not(Equals(J,''))){J=Tail(J);$esc_T T='Print(\''+U+'\');End';}
+
+  Print(T);N=N+'I';
+}
+End
+""").substitute(
+    split_A=_split("A"), split_D=_split("D"), comma=_loop_text(_comma_scan("S", "G")),
+    esc_L=_esc("L", "U"), esc_T=_esc("T", "U"), a0_rest=escape_literal(_A0_REST),
+)).statements
 
 _DRIVER_CODE_TEXT = serialize(Program(_DRIVER_STMTS))
 
@@ -583,14 +449,12 @@ class VerificationResult:
     fuel_spent: FuelSpent
 
 
+@dataclass(slots=True)
 class _Acct:
-    __slots__ = ("steps", "outputs", "evals", "max_level")
-
-    def __init__(self) -> None:
-        self.steps = 0
-        self.outputs = 0
-        self.evals = 0
-        self.max_level = 0
+    steps: int = 0
+    outputs: int = 0
+    evals: int = 0
+    max_level: int = 0
 
 
 def _split_fuel(fuel: Fuel, n: int) -> list[Fuel]:
@@ -670,6 +534,7 @@ def _walk(p: Program, fuel: Fuel, max_depth: int, acct: _Acct) -> Refuted | tupl
     The stack holds the generators of the nodes on the path being explored,
     so only ``max_depth`` and fuel bound how deep the walk goes.
     """
+    _check_int(max_depth, "max_depth", 1)
     stack = [_explore(p, fuel, 1, (), max_depth, acct)]
     r = None
     while stack:
@@ -695,7 +560,6 @@ def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
     child values. Everything else is Inconclusive: membership is not
     computably enumerable, so no fuel setting can decide it in general.
     """
-    _check_int(max_depth, "max_depth", 1)
     acct = _Acct()
     r = _walk(p, fuel, max_depth, acct)
     if isinstance(r, Refuted):
@@ -715,7 +579,6 @@ def value_lower_bound(p: Program, fuel: Fuel, max_depth: int) -> tuple[Ordinal, 
     returned and the bound must be ignored. The tree is the one ``verify``
     walks, so a ProvenMember(v) verdict means (v, False) here.
     """
-    _check_int(max_depth, "max_depth", 1)
     r = _walk(p, fuel, max_depth, _Acct())
     return (ZERO, True) if isinstance(r, Refuted) else (r[1], False)
 
@@ -737,8 +600,6 @@ def certificate_text(a: Ordinal, source: str) -> str:
 def parse_certificate(text: str) -> tuple[str, str]:
     """Return (ordinal surface syntax, sha256 hex) from certificate text."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2 or not lines[0].startswith("ordinal: ") or not lines[1].startswith(
-        "sha256: "
-    ):
+    if len(lines) != 2 or not (lines[0].startswith("ordinal: ") and lines[1].startswith("sha256: ")):
         raise ValueError("certificate must have 'ordinal: ...' and 'sha256: ...' lines")
-    return lines[0][len("ordinal: ") :], lines[1][len("sha256: ") :]
+    return lines[0].removeprefix("ordinal: "), lines[1].removeprefix("sha256: ")

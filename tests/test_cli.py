@@ -222,6 +222,24 @@ def test_verify_expect_mismatch(tmp_path, omega_files, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("claim, rc, err", [
+    ("3", 0, ""),
+    ("7", 1, "certificate mismatch: exact value 3 != 7\n"),
+    ("w^^", 1, "error: certificate {cert}: offset 2: ordinal atom"
+               " (natural, 'w', or parenthesized expression)\n"),
+])
+def test_verify_expect_checks_the_ordinal_claim(tmp_path, capsys, claim, rc, err):
+    ion, cert = tmp_path / "p3.ion", tmp_path / "p3.cert"
+    assert main(["compile", "3", "-o", str(ion)]) == 0
+    cert.write_text(cert.read_text().replace("ordinal: 3\n", f"ordinal: {claim}\n"))
+    capsys.readouterr()
+    assert main(["verify", str(ion), "--expect", str(cert)]) == rc
+    out, actual_err = capsys.readouterr()
+    assert actual_err == err.format(cert=cert)
+    # a claim that parses is checked after the report
+    assert out == ("" if claim == "w^^" else "verdict: ProvenMember\nexactValue: 3\n")
+
+
 def test_verify_refuted_exit_depends_on_expect(tmp_path, capsys):
     bad = tmp_path / "bad.ion"
     bad.write_text("Print('###');End")

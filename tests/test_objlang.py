@@ -12,7 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ionkit import objlang
-from ionkit.notation import _DRIVER_CODE_TEXT, _esc_stmts, compile_ordinal, source_of
+from ionkit.notation import _DRIVER_CODE_TEXT, compile_ordinal, source_of
 from ionkit.objlang import (
     Assign,
     Concat,
@@ -390,7 +390,12 @@ stmts = st.recursive(
     st.one_of(
         st.builds(Print, exprs),
         st.builds(Assign, idents, exprs),
-        esc_names.map(lambda ns: IfElse(TrueCond(), _esc_stmts(ns[0], ns[3], ns[1], ns[2]), ())),
+        # dst = '', walk = src, then the escape loop: the driver's escape.
+        esc_names.map(lambda ns: IfElse(
+            TrueCond(),
+            (Assign(ns[3], Literal("")), Assign(ns[1], Var(ns[0])), escape_loop(*ns[1:])),
+            (),
+        )),
         esc_names.map(lambda ns: escape_loop(*ns[1:])),
         scan_loops(),
     ),
