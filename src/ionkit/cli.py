@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 domain errors (unparsable input, input past one of
 the library's limits: nesting, string length or source size, missing files,
 a malformed lineage config, an ``-o`` path that is its own ``.cert`` path,
-certificate mismatch in program bytes or proven value, refuted verification
-under --expect), 2 usage errors.
+certificate mismatch in program bytes, proven value or explored lower bound,
+refuted verification under --expect), 2 usage errors.
 Each subcommand builds its result once as a dict; ``--json`` prints it as one
 JSON object, and text mode prints it as ``key: value`` lines (see
 :func:`_report`) after an optional head line. ``compile``, ``compare``,
@@ -34,6 +34,7 @@ from .ordinals import (
     parse_ordinal,
 )
 from .notation import (
+    Inconclusive,
     ProvenMember,
     Refuted,
     SourceTooLargeError,
@@ -170,8 +171,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mismatch(what: str, actual: str, claimed: str) -> int:
-    print(f"certificate mismatch: {what} {actual} != {claimed}", file=sys.stderr)
+def _mismatch(what: str, actual: str, relation: str, claimed: str) -> int:
+    print(f"certificate mismatch: {what} {actual} {relation} {claimed}", file=sys.stderr)
     return 1
 
 
@@ -185,7 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"certificate {args.expect}: {exc}") from None
         actual_sha = source_sha256(serialize(program))
         if actual_sha != expected_sha:
-            return _mismatch("program sha256", actual_sha, expected_sha)
+            return _mismatch("program sha256", actual_sha, "!=", expected_sha)
     result = verify(program, Fuel(args.max_steps, args.max_outputs), args.depth)
     verdict = result.verdict
     if isinstance(verdict, ProvenMember):
@@ -199,9 +200,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         }
     spent = asdict(result.fuel_spent)
     _report(args, {"verdict": type(verdict).__name__, **fields, "fuelSpent": spent})
-    if args.expect and isinstance(verdict, ProvenMember) and verdict.exact_value != claim:
-        return _mismatch("exact value", fields["exactValue"], format_ordinal(claim))
-    return 1 if args.expect and isinstance(verdict, Refuted) else 0
+    if not args.expect:
+        return 0
+    if isinstance(verdict, ProvenMember) and verdict.exact_value != claim:
+        return _mismatch("exact value", fields["exactValue"], "!=", format_ordinal(claim))
+    # the explored tree already shows the value is at least lower_bound
+    if isinstance(verdict, Inconclusive) and claim < verdict.lower_bound:
+        return _mismatch(
+            "lower bound", format_ordinal(verdict.lower_bound), ">", format_ordinal(claim)
+        )
+    return 1 if isinstance(verdict, Refuted) else 0
 
 
 def _cmd_value(args: argparse.Namespace) -> int:

@@ -429,8 +429,11 @@ class Refuted:
 
 @dataclass(frozen=True, slots=True)
 class Inconclusive:
+    """Fuel or depth ran out first; the value is at least ``lower_bound``."""
+
     outputs_checked: int
     depth_reached: int
+    lower_bound: Ordinal
 
 
 Verdict = Union[ProvenMember, Refuted, Inconclusive]
@@ -558,7 +561,9 @@ def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
     the counterexample. ProvenMember requires every execution in the tree to
     halt within fuel; then the exact value is the least ordinal above all
     child values. Everything else is Inconclusive: membership is not
-    computably enumerable, so no fuel setting can decide it in general.
+    computably enumerable, so no fuel setting can decide it in general. An
+    Inconclusive verdict carries the explored tree's lower bound, the one
+    ``value_lower_bound`` gives for the same program, fuel and depth.
     """
     acct = _Acct()
     r = _walk(p, fuel, max_depth, acct)
@@ -566,7 +571,9 @@ def verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
         verdict: Verdict = r
     else:
         proven, bound = r
-        verdict = ProvenMember(bound) if proven else Inconclusive(acct.outputs, acct.max_level)
+        verdict = ProvenMember(bound) if proven else Inconclusive(
+            acct.outputs, acct.max_level, bound
+        )
     return VerificationResult(verdict, FuelSpent(acct.steps, acct.outputs, acct.evals))
 
 

@@ -699,9 +699,11 @@ class _FuelStop(Exception):
 
 # Runtime string values are ropes: plain str, a suffix view into a str, or a
 # lazy concatenation. Object programs build strings one character at a time,
-# and plain str would make those loops quadratic. A concatenation of at most
-# _SHORT characters is copied into a plain str at once: most values stay that
-# short, and a _Cat of them would only be flattened later.
+# and plain str would make those loops quadratic. A value of at most _SHORT
+# characters is always a plain str: a concatenation or a suffix that short is
+# copied at once (see _concat_val and _suffix), so a _View or a _Cat exists
+# only above _SHORT. Most values stay that short, a copy of them costs bounded
+# time, and a rope of them would only be flattened later.
 
 class _View:
     __slots__ = ("base", "start")
@@ -758,13 +760,16 @@ def _to_str(v) -> str:
 # a longer source, so a run can hold every source that the compiler builds.
 _MAX_VALUE_LEN = 1 << 26
 
-# The longest concatenation that is copied into a plain str (see above).
+# The longest value that is kept as a plain str when it is made (see above).
 _SHORT = 256
 
 
 def _concat_val(l, r):
     """The one place a value grows: ``l`` followed by ``r``, at most _MAX_VALUE_LEN long."""
-    ll, rl = _vlen(l), _vlen(r)
+    # _vlen inline: this runs for every append the driver makes
+    tl, tr = type(l), type(r)
+    ll = len(l) if tl is str else len(l.base) - l.start if tl is _View else l.length
+    rl = len(r) if tr is str else len(r.base) - r.start if tr is _View else r.length
     if ll == 0:
         return r
     if rl == 0:
@@ -776,8 +781,15 @@ def _concat_val(l, r):
             f"string value of {n} characters is over the limit of {_MAX_VALUE_LEN}"
         )
     if n <= _SHORT:
-        return _to_str(l) + _to_str(r)
+        return (l if tl is str else _to_str(l)) + (r if tr is str else _to_str(r))
     return _Cat(l, r, n)
+
+
+def _suffix(text: str, start: int):
+    """The value of ``text[start:]``: a copy when it is at most _SHORT long, else a _View."""
+    if len(text) - start <= _SHORT:
+        return text[start:]
+    return _View(text, start)
 
 
 # The three other primitives on values, used by the closures and by the
@@ -805,12 +817,12 @@ def _tail(v):
     if type(v) is str:
         if not v:
             raise EvalError("Tail of empty string")
-        return _View(v, 1)
+        return _suffix(v, 1)
     if type(v) is _View:
         if v.start >= len(v.base):
             raise EvalError("Tail of empty string")
-        return _View(v.base, v.start + 1)
-    return _View(_to_str(v), 1)
+        return _suffix(v.base, v.start + 1)
+    return _suffix(_to_str(v), 1)
 
 
 def _eq(lv, rv) -> bool:
@@ -1094,18 +1106,15 @@ def _fuse_paren_scan(
         if not d:
             return _charge(run, 1)
         text, start = _text_at(env[walk])
-        closes = 0
-        for end in range(start + 1, len(text) + 1):
-            ch = text[end - 1]
-            if ch == "(":
-                d += 1
-            elif ch == ")":
-                closes += 1
-                d -= 1
-                if not d:
-                    break
-        else:
-            return plain(run)  # the walk runs out first
+        # From ")" to ")": the depth can reach 0 only at one.
+        closes, end = 0, start
+        while d:
+            close = text.find(")", end)
+            if close < 0:
+                return plain(run)  # the walk runs out first
+            d += text.count("(", end, close) - 1
+            closes += 1
+            end = close + 1
         k = end - start
         # The depth peaks below k: each "(" it gains needs a ")" among them.
         if _vlen(env[acc]) + k > _MAX_VALUE_LEN:
@@ -1118,7 +1127,7 @@ def _fuse_paren_scan(
         _charge(run, 6 * k + 2 * closes)
         env[depth] = ""
         env[char] = ")"
-        env[walk] = _View(text, end)
+        env[walk] = _suffix(text, end)
         env[acc] = _concat_val(env[acc], text[start : end - 1])
     return do_paren_scan
 
@@ -1145,7 +1154,7 @@ def _fuse_unary_scan(
         env[flag] = ""
         if m:
             env[acc] = _concat_val(env[acc], text[start:end])
-            env[walk] = _View(text, end)
+            env[walk] = _suffix(text, end)
     return do_unary_scan
 
 
@@ -1162,7 +1171,7 @@ def _fuse_comma_scan(
         _charge(run, 3 * (end - start) + 1)
         if end > start:
             env[acc] = _concat_val(env[acc], text[start:end])
-            env[stack] = _View(text, end)
+            env[stack] = _suffix(text, end)
     return do_comma_scan
 
 

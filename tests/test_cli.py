@@ -240,6 +240,26 @@ def test_verify_expect_checks_the_ordinal_claim(tmp_path, capsys, claim, rc, err
     assert out == ("" if claim == "w^^" else "verdict: ProvenMember\nexactValue: 3\n")
 
 
+_DEEP_REPORT = "verdict: Inconclusive\noutputsChecked: 95\ndepthReached: 8\n"
+
+
+@pytest.mark.parametrize("claim, rc, err", [
+    ("5", 1, "certificate mismatch: lower bound 8 > 5\n"),
+    ("8", 0, ""),
+    ("w^2*3+w*4", 0, ""),
+])
+def test_verify_expect_refuses_a_claim_below_the_lower_bound(tmp_path, capsys, claim, rc, err):
+    # the walk is Inconclusive, but the tree it explored already puts the value at 8 or more
+    ion, cert = tmp_path / "deep.ion", tmp_path / "deep.cert"
+    assert main(["compile", "w^2*3+w*4", "-o", str(ion)]) == 0
+    cert.write_text(cert.read_text().replace("ordinal: w^2*3+w*4\n", f"ordinal: {claim}\n"))
+    capsys.readouterr()
+    assert main(["verify", str(ion), "--expect", str(cert)]) == rc
+    assert capsys.readouterr() == (_DEEP_REPORT, err)
+    assert main(["value", str(ion)]) == 0
+    assert capsys.readouterr().out == "lowerBound: 8\nrefuted: false\n"
+
+
 def test_verify_refuted_exit_depends_on_expect(tmp_path, capsys):
     bad = tmp_path / "bad.ion"
     bad.write_text("Print('###');End")

@@ -570,7 +570,7 @@ def test_output_too_deep_for_the_stack_is_inconclusive(text):
 def test_program_past_the_nesting_limit_is_inconclusive(build):
     p = build()
     r = verify(p, AMPLE, 4)
-    assert r.verdict == Inconclusive(0, 1), r
+    assert r.verdict == Inconclusive(0, 1, ZERO), r
     assert value_lower_bound(p, AMPLE, 4) == (ZERO, False)
 
 
@@ -592,7 +592,9 @@ def test_the_walk_goes_as_deep_as_max_depth():
     tr = evaluate(p, AMPLE)
     assert tr.outputs == (serialize(p),) and tr.steps_used == 957
     r = verify(p, AMPLE, 3000)
-    assert r.verdict == Inconclusive(outputs_checked=3000, depth_reached=3000)
+    assert r.verdict == Inconclusive(
+        outputs_checked=3000, depth_reached=3000, lower_bound=from_int(3000)
+    )
     assert r.fuel_spent == notation.FuelSpent(957 * 3000, 3000, 3000)
 
 

@@ -1471,3 +1471,90 @@ def test_failing_loops_match_the_passes_at_every_step_budget(loop, values, limit
         fast, plain = _fast_and_plain(p, Fuel(max_steps, 1))
         assert fast == plain, max_steps
     assert (fast, plain) == full
+
+
+# The paren scan walks from ")" to ")". Walks over the driver's characters
+# and a few others: balanced (closed by enough ")"), or not (the walk runs
+# out), and balanced with more than _SHORT characters after them, so that
+# the walk is a _View made by Tail and so is its rest after the scan. A walk
+# that long and unbalanced costs every budget up to about 1600 steps: it is
+# the second explicit example only.
+@st.composite
+def paren_scan_runs(draw):
+    depth = "I" * draw(st.integers(1, 3))
+    walk = draw(st.text(alphabet=st.sampled_from("()Ia,'"), max_size=16))
+    if draw(st.booleans()):
+        walk += ")" * (len(depth) + walk.count("("))
+        if draw(st.booleans()):
+            walk += draw(st.text(alphabet=st.sampled_from("()Ia,'"),
+                                 min_size=objlang._SHORT + 1, max_size=objlang._SHORT + 8))
+    acc = draw(st.text(alphabet=st.sampled_from("()Ia,'"), min_size=1, max_size=4))
+    return depth, walk, acc
+
+
+@hyp.given(paren_scan_runs())
+@hyp.example(("I", "(a))" + "a" * objlang._SHORT, "b"))
+@hyp.example(("II", "(a)" + "a" * (objlang._SHORT - 2), "b"))
+def test_paren_scan_matches_the_passes_at_every_step_budget(run):
+    depth, walk, acc = run
+    p = Program((
+        Assign("P", Literal(depth)),
+        Assign("W", Tail(Literal("x" + walk))),
+        Assign("M", Literal("m")),
+        Assign("B", Literal(acc)),
+        _paren_scan("P", "W", "M", "B"),
+        Print(Var("P")), Print(Var("W")), Print(Var("M")), Print(Var("B")),
+    ))
+    full = _fast_and_plain(p, Fuel(10**5, 4))
+    assert full[0] == full[1]
+    if type(full[0]) is Trace:
+        last = full[0].steps_used
+    else:  # the setup, 6 per character and 2 per ")", then the check and Head of ''
+        last = 4 + 6 * len(walk) + 2 * walk.count(")") + 2
+    for max_steps in range(1, last + 1):
+        fast, plain = _fast_and_plain(p, Fuel(max_steps, 4))
+        assert fast == plain, max_steps
+    assert (fast, plain) == full
+
+
+def _as_rope(kind: str, text: str):
+    """``text`` as a str, as a _View past a prefix, or as a _Cat of two halves."""
+    if kind == "str":
+        return text
+    if kind == "view":
+        return objlang._View("zz" + text, 2)
+    half = len(text) // 2
+    return objlang._Cat(text[:half], text[half:], len(text))
+
+
+# A scan loop, its other values, the name of its walk or stack, and the text
+# it consumes from there.
+_SCANS = {
+    "paren": (_paren_scan("P", "W", "M", "B"), {"P": "I", "M": "m", "B": "b"}, "W", "(a))"),
+    "unary": (_unary_scan("Q", "W", "K"), {"Q": "x", "K": "k"}, "W", "II"),
+    "comma": (_comma_scan("S", "G"), {"G": "g"}, "S", "ab"),
+}
+
+
+@pytest.mark.parametrize("kind", ["str", "view", "cat"])
+@pytest.mark.parametrize("rest", [objlang._SHORT - 1, objlang._SHORT, objlang._SHORT + 1,
+                                  objlang._SHORT + 2])
+def test_tail_and_scans_make_a_str_up_to_short(rest, kind):
+    want = str if rest <= objlang._SHORT else objlang._View
+    text = ("(,I" * rest)[:rest]
+    v = objlang._tail(_as_rope(kind, "a" + text))
+    assert type(v) is want and objlang._to_str(v) == text
+    for name, (loop, before, walk, consumed) in _SCANS.items():
+        rest_text = "," + text[1:]  # no leading I, and a comma for the comma scan
+        do_scan = objlang._compile_stmt(loop, set(before) | {walk})
+        run = objlang._Run(Fuel(10**6, 1))
+        run.env.update(before, **{walk: _as_rope(kind, consumed + rest_text)})
+        do_scan(run)
+        v = run.env[walk]
+        assert type(v) is want and objlang._to_str(v) == rest_text, name
+
+
+@pytest.mark.parametrize("v", ["", objlang._View("abc", 3)], ids=["empty_str", "exhausted_view"])
+def test_tail_of_an_empty_value_raises(v):
+    with pytest.raises(EvalError, match="^Tail of empty string$"):
+        objlang._tail(v)

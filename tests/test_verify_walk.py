@@ -32,7 +32,7 @@ from ionkit.objlang import (
     evaluate,
     parse,
 )
-from ionkit.ordinals import ONE, ZERO, Ordinal, add
+from ionkit.ordinals import ONE, ZERO, Ordinal, add, from_int
 from test_notation import self_printing_program
 from test_objlang import VERIFY_FUEL_LADDER, programs
 from test_skeleton_caches import _mutant
@@ -102,7 +102,10 @@ def _reference_verify(p: Program, fuel: Fuel, max_depth: int) -> VerificationRes
         verdict: Verdict = r
     else:
         proven, bound = r
-        verdict = ProvenMember(bound) if proven else Inconclusive(acct.outputs, acct.max_level)
+        if proven:
+            verdict = ProvenMember(bound)
+        else:
+            verdict = Inconclusive(acct.outputs, acct.max_level, bound)
     return VerificationResult(verdict, FuelSpent(acct.steps, acct.outputs, acct.evals))
 
 
@@ -115,7 +118,10 @@ def _reference_value_lower_bound(p: Program, fuel: Fuel, max_depth: int) -> tupl
 def _assert_same_walk(p: Program, fuel: Fuel, max_depth: int) -> VerificationResult:
     r = verify(p, fuel, max_depth)
     assert r == _reference_verify(p, fuel, max_depth)
-    assert value_lower_bound(p, fuel, max_depth) == _reference_value_lower_bound(p, fuel, max_depth)
+    bound = value_lower_bound(p, fuel, max_depth)
+    assert bound == _reference_value_lower_bound(p, fuel, max_depth)
+    if isinstance(r.verdict, Inconclusive):
+        assert r.verdict.lower_bound == bound[0]
     return r
 
 
@@ -141,4 +147,4 @@ def test_random_programs(p, max_steps, max_outputs, max_depth):
 def test_self_printing_program(max_depth):
     # deep enough to show the order and the accounts, well inside the stack
     r = _assert_same_walk(self_printing_program(), Fuel(10**6, 16), max_depth)
-    assert r.verdict == Inconclusive(max_depth, max_depth)
+    assert r.verdict == Inconclusive(max_depth, max_depth, from_int(max_depth))
