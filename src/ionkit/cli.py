@@ -129,6 +129,8 @@ def _add_fuel_flags(sub: argparse.ArgumentParser, depth: bool = False) -> None:
 def _cmd_compile(args: argparse.Namespace) -> int:
     a = parse_ordinal(args.ordinal)
     out = Path(args.out) if args.out else None
+    if out is not None and not out.name:
+        raise ValueError(f"-o {args.out} names no file")
     if out is not None and out.suffix == ".cert":
         raise ValueError(f"-o {out} names the certificate file; use a suffix other than .cert")
     try:

@@ -22,7 +22,8 @@ Compilation shapes:
   member of the ordinal's fundamental sequence and rebuilds the matching
   source text, quoting ``L`` into child drivers where the member is again a
   deep limit. The driver and the re-wrap loop above are object-language
-  text in this module, parsed once at import.
+  text in this module, parsed once at import; each fused loop in them is
+  spliced in as its one text in ``objlang._FUSED_LOOPS``.
 
 The normative contract is compositional: output n of a compiled limit is
 byte-equal to the serialization of the compiled n-th fundamental-sequence
@@ -40,6 +41,7 @@ from string import Template
 from typing import Union
 
 from .objlang import (
+    _FUSED_LOOPS,
     _MAX_VALUE_LEN,
     Assign,
     EvalError,
@@ -52,13 +54,8 @@ from .objlang import (
     Print,
     Program,
     TraceStatus,
-    While,
-    _comma_scan,
-    _paren_scan,
     _register_skeleton,
-    _unary_scan,
     escape_literal,
-    escape_loop,
     evaluate,
     parse,
     serialize,
@@ -152,21 +149,18 @@ def _decode(s: str) -> Ordinal:
 # skeletons, written in the object language and parsed once at import
 # ---------------------------------------------------------------------------
 
-def _loop_text(loop: While) -> str:
-    """The text of a loop objlang builds; parsed, it equals the loop the matcher compares."""
-    return serialize(Program((loop,))).removesuffix("End")
-
-
 def _esc(src: str, dst: str, walk: str = "V", char: str = "M") -> str:
     """Text that sets dst to src with backslashes doubled and quotes backslashed."""
-    return f"{dst}='';{walk}={src};" + _loop_text(escape_loop(walk, char, dst))
+    loop = _FUSED_LOOPS["escape"][0].substitute(walk=walk, char=char, dst=dst)
+    return f"{dst}='';{walk}={src};{loop}"
 
 
 def _split(src: str) -> str:
     """Text that splits the leading term of the nonempty encoding in ``src``: the
     exponent's encoding to B, the unary coefficient to K, and the other terms to W."""
-    return (f"B='';P='I';W=Tail({src});{_loop_text(_paren_scan('P', 'W', 'M', 'B'))}"
-            f"K='';Q='x';{_loop_text(_unary_scan('Q', 'W', 'K'))}")
+    paren = _FUSED_LOOPS["paren"][0].substitute(depth="P", walk="W", char="M", acc="B")
+    unary = _FUSED_LOOPS["unary"][0].substitute(flag="Q", walk="W", acc="K")
+    return f"B='';P='I';W=Tail({src});{paren}K='';Q='x';{unary}"
 
 
 # Skeleton A0: limits of the form base + w*c. X holds the current output's
@@ -237,7 +231,8 @@ While(True){
 }
 End
 """).substitute(
-    split_A=_split("A"), split_D=_split("D"), comma=_loop_text(_comma_scan("S", "G")),
+    split_A=_split("A"), split_D=_split("D"),
+    comma=_FUSED_LOOPS["comma"][0].substitute(stack="S", acc="G"),
     esc_L=_esc("L", "U"), esc_T=_esc("T", "U"), a0_rest=escape_literal(_A0_REST),
 )).statements
 

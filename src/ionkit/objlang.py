@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from string import Template
 from typing import Callable, NoReturn, Union
 
 __all__ = [
@@ -906,129 +907,6 @@ def _compile_cond(c: Cond, reads: set[str], depth: int) -> Callable[[_Run], bool
             raise TypeError(f"not a Cond: {c!r}")
 
 
-def escape_loop(walk: str, char: str, dst: str) -> While:
-    """The object-language loop that appends ``walk``'s text to ``dst`` escaped.
-
-    One character per pass: ``char`` takes the head of ``walk``, a quote or a
-    backslash gets a backslash in front, and the loop stops when ``walk`` is
-    empty. Newlines stay raw, unlike :func:`escape_literal`. This is how a
-    program prints a program that quotes another one, and :func:`evaluate`
-    runs it as a single block charged the steps its passes would cost.
-    """
-    return While(
-        Not(Equals(Var(walk), Literal(""))),
-        (
-            Assign(char, Head(Var(walk))),
-            Assign(walk, Tail(Var(walk))),
-            IfElse(
-                Equals(Var(char), Literal("'")),
-                (Assign(dst, concat(Var(dst), Literal("\\'"))),),
-                (
-                    IfElse(
-                        Equals(Var(char), Literal("\\")),
-                        (Assign(dst, concat(Var(dst), Literal("\\\\"))),),
-                        (Assign(dst, concat(Var(dst), Var(char))),),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-
-def _paren_scan(depth: str, walk: str, char: str, acc: str) -> While:
-    """The loop that moves ``walk``'s text up to a closing paren into ``acc``.
-
-    ``depth`` counts open parens in unary: ``(`` lengthens it, ``)`` drops a
-    character, and the loop stops when it is empty, with ``char`` holding
-    that last ``)`` and ``acc`` every character before it. The notation
-    driver splits the leading term of an encoding with it.
-    """
-    add_char = Assign(acc, concat(Var(acc), Var(char)))
-    return While(
-        Not(Equals(Var(depth), Literal(""))),
-        (
-            Assign(char, Head(Var(walk))),
-            Assign(walk, Tail(Var(walk))),
-            IfElse(
-                Equals(Var(char), Literal("(")),
-                (Assign(depth, concat(Var(depth), Literal("I"))), add_char),
-                (
-                    IfElse(
-                        Equals(Var(char), Literal(")")),
-                        (
-                            Assign(depth, Tail(Var(depth))),
-                            IfElse(Equals(Var(depth), Literal("")), (), (add_char,)),
-                        ),
-                        (add_char,),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-
-def _unary_scan(flag: str, walk: str, acc: str) -> While:
-    """The loop that moves ``walk``'s leading ``I`` characters to ``acc``; it empties ``flag``."""
-    return While(
-        Not(Equals(Var(flag), Literal(""))),
-        (
-            IfElse(
-                Equals(Var(walk), Literal("")),
-                (Assign(flag, Literal("")),),
-                (
-                    IfElse(
-                        Equals(Head(Var(walk)), Literal("I")),
-                        (
-                            Assign(acc, concat(Var(acc), Literal("I"))),
-                            Assign(walk, Tail(Var(walk))),
-                        ),
-                        (Assign(flag, Literal("")),),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-
-def _comma_scan(stack: str, acc: str) -> While:
-    """The loop that moves ``stack``'s text before its first comma to ``acc``."""
-    return While(
-        Not(Equals(Head(Var(stack)), Literal(","))),
-        (Assign(acc, concat(Var(acc), Head(Var(stack)))), Assign(stack, Tail(Var(stack)))),
-    )
-
-
-def _match_fused_loop(s: While) -> tuple[Callable, tuple[str, ...]] | None:
-    """(fuse, names) when ``s`` is a loop built above from distinct names.
-
-    ``fuse(plain, *names)`` gives the closure that runs the loop as one
-    block, where ``plain`` runs it pass by pass.
-    """
-    match s:
-        case While(
-            Not(Equals(Var(walk), Literal(""))),
-            (Assign(char, _), _, IfElse(_, (Assign(dst, _),), _)),
-        ):
-            build, fuse, names = escape_loop, _fuse_escape_loop, (walk, char, dst)
-        case While(
-            Not(Equals(Var(depth), Literal(""))),
-            (Assign(char, Head(Var(walk))), _, IfElse(_, (_, Assign(acc, _)), _)),
-        ):
-            build, fuse, names = _paren_scan, _fuse_paren_scan, (depth, walk, char, acc)
-        case While(
-            Not(Equals(Var(flag), Literal(""))),
-            (IfElse(Equals(Var(walk), _), _, (IfElse(_, (Assign(acc, _), _), _),)),),
-        ):
-            build, fuse, names = _unary_scan, _fuse_unary_scan, (flag, walk, acc)
-        case While(Not(Equals(Head(Var(stack)), _)), (Assign(acc, _), _)):
-            build, fuse, names = _comma_scan, _fuse_comma_scan, (stack, acc)
-        case _:
-            return None
-    if len(set(names)) == len(names) and s == build(*names):
-        return fuse, names
-    return None
-
-
 # A fused loop prints nothing, and a run that stops on fuel is observed only
 # through its outputs and step count, so when the passes do not all fit,
 # stopping with every step spent is exactly what the passes would do. A
@@ -1173,6 +1051,104 @@ def _fuse_comma_scan(
             env[acc] = _concat_val(env[acc], text[start:end])
             env[stack] = _suffix(text, end)
     return do_comma_scan
+
+
+# Each loop the evaluator runs as one block, written once: its text over
+# $-names (serialize's, without End), the order its builder takes the names
+# in, and the closure that fuses it. Builders parse it; notation splices it.
+_FUSED_LOOPS: dict[str, tuple[Template, tuple[str, ...], Callable]] = {
+    "escape": (Template(
+        r"While(Not(Equals($walk,''))){$char=Head($walk);$walk=Tail($walk);"
+        r"If(Equals($char,'\'')){$dst=$dst+'\\\'';}"
+        r"Else{If(Equals($char,'\\')){$dst=$dst+'\\\\';}Else{$dst=$dst+$char;}}}"
+    ), ("walk", "char", "dst"), _fuse_escape_loop),
+    "paren": (Template(
+        r"While(Not(Equals($depth,''))){$char=Head($walk);$walk=Tail($walk);"
+        r"If(Equals($char,'(')){$depth=$depth+'I';$acc=$acc+$char;}"
+        r"Else{If(Equals($char,')')){$depth=Tail($depth);"
+        r"If(Equals($depth,'')){}Else{$acc=$acc+$char;}}Else{$acc=$acc+$char;}}}"
+    ), ("depth", "walk", "char", "acc"), _fuse_paren_scan),
+    "unary": (Template(
+        r"While(Not(Equals($flag,''))){If(Equals($walk,'')){$flag='';}"
+        r"Else{If(Equals(Head($walk),'I')){$acc=$acc+'I';$walk=Tail($walk);}Else{$flag='';}}}"
+    ), ("flag", "walk", "acc"), _fuse_unary_scan),
+    "comma": (Template(
+        r"While(Not(Equals(Head($stack),','))){$acc=$acc+Head($stack);$stack=Tail($stack);}"
+    ), ("stack", "acc"), _fuse_comma_scan),
+}
+
+
+def _build_loop(kind: str, *names: str) -> While:
+    """The loop ``kind`` of _FUSED_LOOPS under ``names``. Each name is checked
+    before any text is built, so no name can make the text some other loop."""
+    text, params, _ = _FUSED_LOOPS[kind]
+    for name in names:
+        _check_ident(name)
+    (loop,) = parse(text.substitute(dict(zip(params, names))) + "End").statements
+    return loop
+
+
+def escape_loop(walk: str, char: str, dst: str) -> While:
+    """The object-language loop that appends ``walk``'s text to ``dst`` escaped.
+
+    One character per pass: ``char`` takes the head of ``walk``, a quote or a
+    backslash gets a backslash in front, and the loop stops when ``walk`` is
+    empty. Newlines stay raw, unlike :func:`escape_literal`. This is how a
+    program prints a program that quotes another one, and :func:`evaluate`
+    runs it as a single block charged the steps its passes would cost.
+    """
+    return _build_loop("escape", walk, char, dst)
+
+
+def _paren_scan(depth: str, walk: str, char: str, acc: str) -> While:
+    """The loop that moves ``walk``'s text up to a closing paren into ``acc``.
+
+    ``depth`` counts open parens in unary: ``(`` lengthens it, ``)`` drops a
+    character, and the loop stops when it is empty, with ``char`` holding
+    that last ``)`` and ``acc`` every character before it. The notation
+    driver splits the leading term of an encoding with it.
+    """
+    return _build_loop("paren", depth, walk, char, acc)
+
+
+def _unary_scan(flag: str, walk: str, acc: str) -> While:
+    """The loop that moves ``walk``'s leading ``I`` characters to ``acc``; it empties ``flag``."""
+    return _build_loop("unary", flag, walk, acc)
+
+
+def _comma_scan(stack: str, acc: str) -> While:
+    """The loop that moves ``stack``'s text before its first comma to ``acc``."""
+    return _build_loop("comma", stack, acc)
+
+
+# Each loop under its own parameter names, the shape _match_fused_loop binds.
+_FUSED_SHAPES = [(_build_loop(k, *ps), ps, fuse) for k, (_, ps, fuse) in _FUSED_LOOPS.items()]
+
+
+def _bind(shape, node, names: dict[str, str]) -> bool:
+    """Whether ``node`` is ``shape`` renamed by ``names``, which it extends: a
+    Var's or an Assign's name is renamed one way everywhere, a Literal must be
+    equal, and every other node must match by type and fields."""
+    if type(node) is not type(shape):
+        return False
+    if type(shape) is Literal:
+        return node == shape
+    if type(shape) is str:
+        return names.setdefault(shape, node) == node
+    if type(shape) is tuple:
+        return len(node) == len(shape) and all(_bind(x, y, names) for x, y in zip(shape, node))
+    return all(_bind(getattr(shape, f), getattr(node, f), names) for f in shape.__match_args__)
+
+
+def _match_fused_loop(s: While) -> tuple[Callable, tuple[str, ...]] | None:
+    """(fuse, names) when ``s`` is a loop of _FUSED_LOOPS under distinct names,
+    in the order its builder takes them. ``fuse(plain, *names)`` gives the
+    closure that runs the loop as one block, where ``plain`` runs it pass by pass."""
+    for shape, params, fuse in _FUSED_SHAPES:
+        names: dict[str, str] = {}
+        if _bind(shape, s, names) and len(set(names.values())) == len(names):
+            return fuse, tuple(names[p] for p in params)
+    return None
 
 
 def _compile_block(
@@ -1380,17 +1356,16 @@ def evaluate(p: Program, fuel: Fuel) -> Trace:
     """Run ``p`` under ``fuel``; deterministic, total, and reproducible.
 
     Each statement execution costs one step (every While condition check
-    included). Four loops run as one block each, charged exactly the steps
-    their passes would cost, with the same outputs, status and errors: an
-    :func:`escape_loop`, and the notation driver's paren scan, unary scan
-    and comma scan (``_paren_scan``, ``_unary_scan``, ``_comma_scan``), each
-    under any distinct variable names. Raises
-    :class:`EvalError` for Head/Tail of the empty string, and
-    :class:`OpenProgramError` if the program is not closed: closedness is
-    checked while the closures are built, before any step runs, and so is
-    the nesting limit (:class:`NestingLimitError`). Raises
-    :class:`LengthLimitError` when a string value would grow past the
-    length limit.
+    included). Four loops run as one block each, under any distinct
+    variable names, charged exactly the steps their passes would cost, with
+    the same outputs, status and errors: an :func:`escape_loop` and the
+    notation driver's paren, unary and comma scans, each written once as
+    one text in ``_FUSED_LOOPS``. Raises :class:`EvalError` for Head/Tail
+    of the empty string, and :class:`OpenProgramError` if the program is
+    not closed: closedness is checked while the closures are built, before
+    any step runs, and so is the nesting limit (:class:`NestingLimitError`).
+    Raises :class:`LengthLimitError` when a string value would grow past
+    the length limit.
 
     A program whose statements after the first are a registered skeleton
     (the notation's A0 loop or driver tail, the very objects), and whose

@@ -68,6 +68,8 @@ def test_exit_code_table(tmp_path, capsys):
         (["run", str(doubling)], 1),                    # a string of 2**41 characters
         (["verify", str(doubling), "--depth", "2"], 0), # Inconclusive, not Refuted
         (["compile", "w", "-o", str(own_cert)], 1),     # program path is its .cert path
+        (["compile", "w", "-o", "."], 1),               # a path with no file name
+        (["compile", "w", "-o", "/"], 1),
         (["run", str(deep)], 1),                        # 600 nested Head( past the limit
         (["verify", str(deep)], 1),
         (["value", str(deep)], 1),
@@ -82,6 +84,8 @@ def test_exit_code_table(tmp_path, capsys):
         str(doubling): "error: string value of 134217728 characters is over the limit of 67108864\n",
         str(own_cert): f"error: -o {own_cert} names the certificate file;"
                        " use a suffix other than .cert\n",
+        ".": "error: -o . names no file\n",
+        "/": "error: -o / names no file\n",
         # Print( and 127 Head( fill the nesting limit; the next Head( is at 641
         str(deep): "error: offset 641: nesting deeper than the limit of 128\n",
     }

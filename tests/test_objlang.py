@@ -1,6 +1,7 @@
 import collections
 import gc
 import hashlib
+import itertools
 import random
 import sys
 import threading
@@ -867,6 +868,14 @@ def test_escape_loop_compiles_to_one_block():
     assert objlang._compile_stmt(loop, {"W", "D"}).__name__ == "do_escape"
 
 
+def _edited(loop: While, old: str, new: str) -> While:
+    """``loop`` with the one ``old`` in its text made ``new``."""
+    text = serialize(Program((loop,)))
+    assert text.count(old) == 1, (text, old)
+    (edited,) = parse(text.replace(old, new)).statements
+    return edited
+
+
 _LOOP = escape_loop("A", "B", "C")
 
 
@@ -878,8 +887,12 @@ _LOOP = escape_loop("A", "B", "C")
         escape_loop("A", "B", "A"),
         While(Not(Equals(Literal(""), Var("A"))), _LOOP.body),
         While(_LOOP.cond, _LOOP.body + (Assign("C", Var("C")),)),
+        _edited(_LOOP, r"C=C+'\\\\'", r"C=C+'\\'"),
+        _edited(_LOOP, "Equals(B,'\\'')", "Equals(B,'\"')"),
+        _edited(_LOOP, "B=Head(A)", "B=Tail(A)"),
     ],
-    ids=["walk_is_char", "char_is_dst", "walk_is_dst", "equals_swapped", "extra_statement"],
+    ids=["walk_is_char", "char_is_dst", "walk_is_dst", "equals_swapped", "extra_statement",
+         "one_backslash_appended", "other_quote_tested", "tail_for_head"],
 )
 def test_escape_loop_near_misses_take_the_plain_path(loop):
     assert objlang._match_fused_loop(loop) is None
@@ -1321,6 +1334,54 @@ def test_shared_escape_memos_stay_consistent_across_threads():
 
 
 # ---------------------------------------------------------------------------
+# the four fused loops: one text each, one name binder
+# ---------------------------------------------------------------------------
+
+_BUILDERS = {"escape": escape_loop, "paren": _paren_scan, "unary": _unary_scan, "comma": _comma_scan}
+# The loops under their parameter names, then under the names the notation
+# skeletons use.
+_PINNED_LOOPS = [
+    ("escape", ("walk", "char", "dst")), ("paren", ("depth", "walk", "char", "acc")),
+    ("unary", ("flag", "walk", "acc")), ("comma", ("stack", "acc")),
+    ("escape", ("V", "M", "U")), ("escape", ("R", "H", "E")), ("paren", ("P", "W", "M", "B")),
+    ("unary", ("Q", "W", "K")), ("comma", ("S", "G")),
+]
+
+
+def test_fused_loops_are_pinned_and_their_texts_canonical():
+    loops = [_BUILDERS[kind](*names) for kind, names in _PINNED_LOOPS]
+    # the repr of the nine loops, pinned from when each was built of nested While/IfElse calls
+    assert hashlib.sha256(repr(loops).encode()).hexdigest() == (
+        "3d5b3095a231eccd77df1c1102094c50ad89470ad9faef271489301fab4fa6d2"
+    )
+    for (kind, names), loop in zip(_PINNED_LOOPS, loops):
+        text, params, _ = objlang._FUSED_LOOPS[kind]
+        # what the notation skeletons splice is what they parse
+        assert text.substitute(dict(zip(params, names))) == serialize(Program((loop,)))[: -len("End")]
+
+
+@pytest.mark.parametrize("bad", ["A,'')))", "End", "$dst", ""])
+@pytest.mark.parametrize("kind", _BUILDERS)
+def test_fused_loop_builders_refuse_a_bad_name(kind, bad):
+    arity = _BUILDERS[kind].__code__.co_argcount
+    reason = f"identifier {bad!r} is a reserved word" if bad == "End" else f"invalid identifier {bad!r}"
+    for at in range(arity):
+        names = ["N0", "N1", "N2", "N3"][:arity]
+        names[at] = bad
+        with pytest.raises(ValueError) as err:
+            _BUILDERS[kind](*names)
+        assert str(err.value) == reason
+
+
+@pytest.mark.parametrize("kind", _BUILDERS)
+def test_fused_loops_match_exactly_under_distinct_names(kind):
+    _, params, fuse = objlang._FUSED_LOOPS[kind]
+    for names in itertools.product("ABCD", repeat=len(params)):
+        want = (fuse, names) if len(set(names)) == len(names) else None
+        assert objlang._match_fused_loop(_BUILDERS[kind](*names)) == want, names
+
+
+# ---------------------------------------------------------------------------
 # the driver's scan loops run as one block too
 # ---------------------------------------------------------------------------
 
@@ -1424,10 +1485,18 @@ _COMMA = _comma_scan("A", "B")
         While(Not(Equals(Literal(","), Head(Var("A")))), _COMMA.body),
         _comma_scan("A", "A"),
         While(_COMMA.cond, _COMMA.body + (Assign("B", Var("B")),)),
+        _edited(_PAREN, "Equals(C,'(')", "Equals(C,'[')"),
+        _edited(_PAREN, "C=Head(B)", "C=Tail(B)"),
+        _edited(_UNARY, "Equals(Head(B),'I')", "Equals(Head(B),'J')"),
+        _edited(_UNARY, "Equals(Head(B)", "Equals(Tail(B)"),
+        _edited(_COMMA, "','", "';'"),
+        _edited(_COMMA, "B=B+Head(A)", "B=B+Tail(A)"),
     ],
     ids=["paren_swapped", "paren_depth_is_walk", "paren_depth_is_acc", "paren_walk_is_char",
          "paren_extra_statement", "unary_swapped", "unary_flag_is_walk", "unary_flag_is_acc",
-         "unary_extra_statement", "comma_swapped", "comma_stack_is_acc", "comma_extra_statement"],
+         "unary_extra_statement", "comma_swapped", "comma_stack_is_acc", "comma_extra_statement",
+         "paren_other_open", "paren_tail_for_head", "unary_tests_J", "unary_tail_for_head",
+         "comma_other_separator", "comma_tail_for_head"],
 )
 def test_scan_loop_near_misses_take_the_plain_path(loop):
     assert objlang._match_fused_loop(loop) is None
