@@ -27,10 +27,11 @@ Literal escapes are exactly ``\\'``, ``\\\\``, and ``\\n``.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from string import Template
-from typing import Callable, NoReturn, Union
+from typing import Callable, NoReturn, Union, get_args
 
 __all__ = [
     "ObjLangError",
@@ -161,6 +162,24 @@ def _is_literal_text(text: str) -> bool:  # a non-str is a TypeError
     return str.isascii(text) and not text.encode("ascii").translate(None, _LITERAL_BYTES)
 
 
+def _check_fields(node) -> None:
+    """The one check of the grammar's categories, run as each node is built: a
+    ``TypeError`` naming the class and the field unless each field holds its kind
+    in _FIELDS. A field of many nodes may be any iterable; it is kept as a tuple."""
+    for name, (types, many, what) in _FIELDS[type(node)]:
+        value = getattr(node, name)
+        if not many:
+            if type(value) in types:
+                continue
+        elif hasattr(value, "__iter__"):
+            value = tuple(value)
+            object.__setattr__(node, name, value)
+            if types.issuperset(map(type, value)):
+                continue
+            value = next(x for x in value if type(x) not in types)
+        raise TypeError(f"{type(node).__name__}.{name} takes {what}, not {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Literal:
     text: str
@@ -187,7 +206,7 @@ class Concat:
     parts: tuple["Expr", ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
+        _check_fields(self)
         if len(self.parts) < 2 or Concat in map(type, self.parts):
             raise ValueError("Concat takes two or more parts, none a Concat; use concat(...)")
 
@@ -195,11 +214,13 @@ class Concat:
 @dataclass(frozen=True, slots=True)
 class Head:
     arg: "Expr"
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True, slots=True)
 class Tail:
     arg: "Expr"
+    __post_init__ = _check_fields
 
 
 Expr = Union[Literal, Var, Concat, Head, Tail]
@@ -214,11 +235,13 @@ class TrueCond:
 class Equals:
     left: Expr
     right: Expr
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True, slots=True)
 class Not:
     inner: "Cond"
+    __post_init__ = _check_fields
 
 
 Cond = Union[TrueCond, Equals, Not]
@@ -227,6 +250,7 @@ Cond = Union[TrueCond, Equals, Not]
 @dataclass(frozen=True, slots=True)
 class Print:
     expr: Expr
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,15 +260,14 @@ class Assign:
 
     def __post_init__(self) -> None:
         _check_ident(self.name)
+        _check_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
 class While:
     cond: Cond
     body: tuple["Statement", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "body", tuple(self.body))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,10 +275,7 @@ class IfElse:
     cond: Cond
     then_body: tuple["Statement", ...]
     else_body: tuple["Statement", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "then_body", tuple(self.then_body))
-        object.__setattr__(self, "else_body", tuple(self.else_body))
+    __post_init__ = _check_fields
 
 
 Statement = Union[Print, Assign, While, IfElse]
@@ -266,9 +286,7 @@ class Program:
     """A complete object-language program (possibly the empty one)."""
 
     statements: tuple[Statement, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "statements", tuple(self.statements))
+    __post_init__ = _check_fields
 
 
 def concat(*parts: Expr) -> Expr:
@@ -289,7 +307,12 @@ def concat(*parts: Expr) -> Expr:
 # tokens and one marker per field, in the dataclass's field order: _EXPR an
 # expression, _COND a condition, _BLOCK statements and their closing "}".
 # Each keyword opens a group at that keyword and closes the one before it.
-_EXPR, _COND, _BLOCK = object(), object(), object()
+# Each marker is also its field's kind: the classes it admits, whether it
+# holds a tuple of them, and its name in the constructors' TypeError.
+_Kind = namedtuple("_Kind", "types many what")
+_EXPR = _Kind(frozenset(get_args(Expr)), False, "an expression")
+_COND = _Kind(frozenset(get_args(Cond)), False, "a condition")
+_BLOCK = _Kind(frozenset(get_args(Statement)), True, "statements")
 _SYNTAX: dict[type, tuple] = {
     Print: ("Print", "(", _EXPR, ")", ";"),
     While: ("While", "(", _COND, ")", "{", _BLOCK),
@@ -299,6 +322,14 @@ _SYNTAX: dict[type, tuple] = {
     Equals: ("Equals", "(", _EXPR, ",", _EXPR, ")"),
     Not: ("Not", "(", _COND, ")"),
 }
+
+# The kind of each field that _check_fields checks: a group's fields take
+# their markers' kinds, in order, and three fields lie outside any group.
+_FIELDS = {cls: tuple(zip(cls.__match_args__, [t for t in ts if type(t) is _Kind]))
+           for cls, ts in _SYNTAX.items()}
+_FIELDS[Assign] = (("expr", _EXPR),)
+_FIELDS[Concat] = (("parts", _Kind(_EXPR.types, True, "expressions")),)
+_FIELDS[Program] = (("statements", _BLOCK),)
 
 KEYWORDS = frozenset(
     {"End", "True"} | {t for ts in _SYNTAX.values() for t in ts if type(t) is str and t.isalpha()}
@@ -325,9 +356,25 @@ def escape_literal(text: str) -> str:
     return text.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\n")
 
 
-def _emit_expr(e: Expr, parts: list[str], depth: int) -> None:
-    # ``depth`` counts the groups around ``e``, here and in the walkers below.
-    match e:
+def _emit(node, parts: list[str], depth: int) -> None:
+    """Write ``node``, a statement, an expression or a condition."""
+    # ``depth`` counts the groups around ``node``, here and in the walkers below.
+    syntax = _SYNTAX.get(type(node))
+    if syntax is not None:  # a keyword group, written as its _SYNTAX sequence says
+        # Every keyword of a group opens its group at the same depth.
+        inner = _nest(depth)
+        fields = iter([getattr(node, name) for name in node.__match_args__])
+        for token in syntax:
+            if type(token) is str:
+                parts.append(token)
+            elif token is _BLOCK:
+                for st in next(fields):
+                    _emit(st, parts, inner)
+                parts.append("}")
+            else:
+                _emit(next(fields), parts, inner)
+        return
+    match node:
         case Literal(text=t):
             parts.append("'")
             parts.append(escape_literal(t))
@@ -335,55 +382,17 @@ def _emit_expr(e: Expr, parts: list[str], depth: int) -> None:
         case Var(name=n):
             parts.append(n)
         case Concat(parts=ps):
-            _emit_expr(ps[0], parts, depth)
+            _emit(ps[0], parts, depth)
             for x in ps[1:]:
                 parts.append("+")
-                _emit_expr(x, parts, depth)
-        case Head() | Tail():
-            _emit_group(e, parts, depth)
-        case _:
-            raise TypeError(f"not an Expr: {e!r}")
-
-
-def _emit_cond(c: Cond, parts: list[str], depth: int) -> None:
-    match c:
-        case TrueCond():
-            parts.append("True")
-        case Equals() | Not():
-            _emit_group(c, parts, depth)
-        case _:
-            raise TypeError(f"not a Cond: {c!r}")
-
-
-def _emit_stmt(s: Statement, parts: list[str], depth: int) -> None:
-    match s:
+                _emit(x, parts, depth)
         case Assign(name=n, expr=e):
             parts.append(n)
             parts.append("=")
-            _emit_expr(e, parts, depth)
+            _emit(e, parts, depth)
             parts.append(";")
-        case Print() | While() | IfElse():
-            _emit_group(s, parts, depth)
-        case _:
-            raise TypeError(f"not a Statement: {s!r}")
-
-
-def _emit_group(node, parts: list[str], depth: int) -> None:
-    """Write the keyword group ``node`` as its _SYNTAX sequence says."""
-    # Every keyword of a group opens its group at the same depth.
-    inner = _nest(depth)
-    fields = iter([getattr(node, name) for name in node.__match_args__])
-    for token in _SYNTAX[type(node)]:
-        if token is _EXPR:
-            _emit_expr(next(fields), parts, inner)
-        elif token is _COND:
-            _emit_cond(next(fields), parts, inner)
-        elif token is _BLOCK:
-            for st in next(fields):
-                _emit_stmt(st, parts, inner)
-            parts.append("}")
-        else:
-            parts.append(token)
+        case TrueCond():
+            parts.append("True")
 
 
 def serialize(p: Program) -> str:
@@ -393,7 +402,7 @@ def serialize(p: Program) -> str:
     skeleton = _SKELETON_FNS.get(tuple(map(id, p.statements[1:])))
     tail = None if skeleton is None else skeleton[3]
     for s in p.statements if tail is None else p.statements[:1]:
-        _emit_stmt(s, parts, 0)
+        _emit(s, parts, 0)
     parts.append("End" if tail is None else tail)
     return "".join(parts)
 
@@ -638,9 +647,9 @@ def parse(source: str) -> Program:
 # static closedness check
 # ---------------------------------------------------------------------------
 
-# The compiler below is the check: the expression and condition compilers add
-# every name they read to a set, and each statement compiler compares that
-# set with the names assigned on every path to the statement.
+# The compiler below is the check: the value compiler adds every name it
+# reads to a set, and the statement compiler compares that set with the
+# names assigned on every path to the statement.
 
 def _require_assigned(reads: set[str], assigned: set[str], where: str) -> None:
     missing = reads - assigned
@@ -861,8 +870,9 @@ class _Run:
 # once, when they are registered, and reused by every program that ends in
 # one (see _skeleton_source and _compile_program).
 
-def _compile_expr(e: Expr, reads: set[str], depth: int) -> Callable[[_Run], object]:
-    match e:
+def _compile_value(node, reads: set[str], depth: int) -> Callable[[_Run], object]:
+    """The closure of expression or condition ``node``: it gives a value or a bool."""
+    match node:
         case Literal(text=t):
             return lambda run, _t=t: _t
         case Var(name=n):
@@ -871,7 +881,7 @@ def _compile_expr(e: Expr, reads: set[str], depth: int) -> Callable[[_Run], obje
                 return run.env[_n]  # its statement checked that _n is assigned
             return read
         case Concat(parts=ps):
-            first, *rest = (_compile_expr(x, reads, depth) for x in ps)
+            first, *rest = (_compile_value(x, reads, depth) for x in ps)
             def cat(run: _Run):
                 v = first(run)
                 for f in rest:
@@ -879,32 +889,24 @@ def _compile_expr(e: Expr, reads: set[str], depth: int) -> Callable[[_Run], obje
                 return v
             return cat
         case Head(arg=a) | Tail(arg=a):
-            af = _compile_expr(a, reads, _nest(depth))
-            primitive = _head if isinstance(e, Head) else _tail
+            af = _compile_value(a, reads, _nest(depth))
+            primitive = _head if isinstance(node, Head) else _tail
             def head_or_tail(run: _Run):
                 return primitive(af(run))
             return head_or_tail
-        case _:
-            raise TypeError(f"not an Expr: {e!r}")
-
-
-def _compile_cond(c: Cond, reads: set[str], depth: int) -> Callable[[_Run], bool]:
-    match c:
         case TrueCond():
             return lambda run: True
         case Equals(left=l, right=r):
             inner = _nest(depth)
-            lf, rf = _compile_expr(l, reads, inner), _compile_expr(r, reads, inner)
+            lf, rf = _compile_value(l, reads, inner), _compile_value(r, reads, inner)
             def eq(run: _Run) -> bool:
                 return _eq(lf(run), rf(run))
             return eq
         case Not(inner=i):
-            inf = _compile_cond(i, reads, _nest(depth))
+            inf = _compile_value(i, reads, _nest(depth))
             def neg(run: _Run) -> bool:
                 return not inf(run)
             return neg
-        case _:
-            raise TypeError(f"not a Cond: {c!r}")
 
 
 # A fused loop prints nothing, and a run that stops on fuel is observed only
@@ -1057,21 +1059,27 @@ def _fuse_comma_scan(
 # $-names (serialize's, without End), the order its builder takes the names
 # in, and the closure that fuses it. Builders parse it; notation splices it.
 _FUSED_LOOPS: dict[str, tuple[Template, tuple[str, ...], Callable]] = {
+    # appends $walk's text to $dst with each quote and backslash escaped (see escape_loop)
     "escape": (Template(
         r"While(Not(Equals($walk,''))){$char=Head($walk);$walk=Tail($walk);"
         r"If(Equals($char,'\'')){$dst=$dst+'\\\'';}"
         r"Else{If(Equals($char,'\\')){$dst=$dst+'\\\\';}Else{$dst=$dst+$char;}}}"
     ), ("walk", "char", "dst"), _fuse_escape_loop),
+    # moves $walk's text up to the ")" that closes it into $acc: $depth counts
+    # open parens in unary, and at the end it is empty and $char holds that ")".
+    # The notation driver splits the leading term of an encoding with it.
     "paren": (Template(
         r"While(Not(Equals($depth,''))){$char=Head($walk);$walk=Tail($walk);"
         r"If(Equals($char,'(')){$depth=$depth+'I';$acc=$acc+$char;}"
         r"Else{If(Equals($char,')')){$depth=Tail($depth);"
         r"If(Equals($depth,'')){}Else{$acc=$acc+$char;}}Else{$acc=$acc+$char;}}}"
     ), ("depth", "walk", "char", "acc"), _fuse_paren_scan),
+    # moves $walk's leading "I" characters to $acc; it empties $flag
     "unary": (Template(
         r"While(Not(Equals($flag,''))){If(Equals($walk,'')){$flag='';}"
         r"Else{If(Equals(Head($walk),'I')){$acc=$acc+'I';$walk=Tail($walk);}Else{$flag='';}}}"
     ), ("flag", "walk", "acc"), _fuse_unary_scan),
+    # moves $stack's text before its first comma to $acc
     "comma": (Template(
         r"While(Not(Equals(Head($stack),','))){$acc=$acc+Head($stack);$stack=Tail($stack);}"
     ), ("stack", "acc"), _fuse_comma_scan),
@@ -1098,27 +1106,6 @@ def escape_loop(walk: str, char: str, dst: str) -> While:
     runs it as a single block charged the steps its passes would cost.
     """
     return _build_loop("escape", walk, char, dst)
-
-
-def _paren_scan(depth: str, walk: str, char: str, acc: str) -> While:
-    """The loop that moves ``walk``'s text up to a closing paren into ``acc``.
-
-    ``depth`` counts open parens in unary: ``(`` lengthens it, ``)`` drops a
-    character, and the loop stops when it is empty, with ``char`` holding
-    that last ``)`` and ``acc`` every character before it. The notation
-    driver splits the leading term of an encoding with it.
-    """
-    return _build_loop("paren", depth, walk, char, acc)
-
-
-def _unary_scan(flag: str, walk: str, acc: str) -> While:
-    """The loop that moves ``walk``'s leading ``I`` characters to ``acc``; it empties ``flag``."""
-    return _build_loop("unary", flag, walk, acc)
-
-
-def _comma_scan(stack: str, acc: str) -> While:
-    """The loop that moves ``stack``'s text before its first comma to ``acc``."""
-    return _build_loop("comma", stack, acc)
 
 
 # Each loop under its own parameter names, the shape _match_fused_loop binds.
@@ -1181,7 +1168,7 @@ def _compile_stmt(s: Statement, current: set[str], depth: int = 0) -> Callable[[
     reads: set[str] = set()
     match s:
         case Print(expr=e):
-            ef = _compile_expr(e, reads, _nest(depth))
+            ef = _compile_value(e, reads, _nest(depth))
             _require_assigned(reads, current, "Print")
             def do_print(run: _Run) -> None:
                 # A blocked Print ends the run without charging a step, so a
@@ -1195,7 +1182,7 @@ def _compile_stmt(s: Statement, current: set[str], depth: int = 0) -> Callable[[
                 run.outputs.append(_to_str(ef(run)))
             return do_print
         case Assign(name=n, expr=e):
-            ef = _compile_expr(e, reads, depth)
+            ef = _compile_value(e, reads, depth)
             _require_assigned(reads, current, f"assignment to {n!r}")
             current.add(n)
             def do_assign(run: _Run, _n=n) -> None:
@@ -1206,7 +1193,7 @@ def _compile_stmt(s: Statement, current: set[str], depth: int = 0) -> Callable[[
             return do_assign
         case While(cond=c, body=b):
             inner = _nest(depth)
-            cf = _compile_cond(c, reads, inner)
+            cf = _compile_value(c, reads, inner)
             _require_assigned(reads, current, "While condition")
             # The body may never run, so its assignments do not escape.
             body, _ = _compile_block(b, current, inner)
@@ -1224,7 +1211,7 @@ def _compile_stmt(s: Statement, current: set[str], depth: int = 0) -> Callable[[
             return do_while if fused is None else fused[0](do_while, *fused[1])
         case IfElse(cond=c, then_body=t, else_body=e):
             inner = _nest(depth)
-            cf = _compile_cond(c, reads, inner)
+            cf = _compile_value(c, reads, inner)
             _require_assigned(reads, current, "If condition")
             then_fns, after_then = _compile_block(t, current, inner)
             else_fns, after_else = _compile_block(e, current, inner)
@@ -1236,8 +1223,6 @@ def _compile_stmt(s: Statement, current: set[str], depth: int = 0) -> Callable[[
                 for g in then_fns if cf(run) else else_fns:
                     g(run)
             return do_if
-        case _:
-            raise TypeError(f"not a Statement: {s!r}")
 
 
 # A registered skeleton runs as one generated Python function rather than a
@@ -1259,35 +1244,30 @@ def _skeleton_source(stmts: tuple[Statement, ...]) -> tuple[str, dict[str, objec
     consts: dict[str, object] = {}
     lines: list[str] = []
 
-    def const(value) -> str:
+    def const(obj) -> str:
         name = f"_k{len(consts)}"
-        consts[name] = value
+        consts[name] = obj
         return name
 
-    def expr(e: Expr) -> str:
-        match e:
+    def value(node) -> str:
+        match node:
             case Literal(text=t):
                 return const(t)
             case Var(name=n):
                 return f"env[{n!r}]"
             case Concat(parts=ps):
-                code = expr(ps[0])
+                code = value(ps[0])
                 for x in ps[1:]:
-                    code = f"_concat_val({code}, {expr(x)})"
+                    code = f"_concat_val({code}, {value(x)})"
                 return code
             case Head(arg=a) | Tail(arg=a):
-                return f"{'_head' if isinstance(e, Head) else '_tail'}({expr(a)})"
-        raise TypeError(f"not an Expr: {e!r}")
-
-    def cond(c: Cond) -> str:
-        match c:
+                return f"{'_head' if isinstance(node, Head) else '_tail'}({value(a)})"
             case TrueCond():
                 return "True"
             case Equals(left=l, right=r):
-                return f"_eq({expr(l)}, {expr(r)})"
+                return f"_eq({value(l)}, {value(r)})"
             case Not(inner=i):
-                return f"not {cond(i)}"
-        raise TypeError(f"not a Cond: {c!r}")
+                return f"not {value(i)}"
 
     def step(pad: str, also: str = "") -> None:
         lines.append(f"{pad}if {also}steps >= ms:")
@@ -1303,10 +1283,10 @@ def _skeleton_source(stmts: tuple[Statement, ...]) -> tuple[str, dict[str, objec
                 case Print(expr=e):
                     # a blocked Print stops the run without charging a step
                     step(pad, also="len(outputs) >= mo or ")
-                    lines.append(f"{pad}outputs.append(_to_str({expr(e)}))")
+                    lines.append(f"{pad}outputs.append(_to_str({value(e)}))")
                 case Assign(name=n, expr=e):
                     step(pad)
-                    lines.append(f"{pad}env[{n!r}] = {expr(e)}")
+                    lines.append(f"{pad}env[{n!r}] = {value(e)}")
                 case While() if (fused := _match_fused_loop(s)) is not None:
                     # the loop reads only the names it was built from
                     lines.append(f"{pad}run.steps = steps")
@@ -1316,17 +1296,15 @@ def _skeleton_source(stmts: tuple[Statement, ...]) -> tuple[str, dict[str, objec
                     lines.append(f"{pad}while True:")
                     step(pad + "    ")
                     if c != TrueCond():
-                        lines.append(f"{pad}    if not ({cond(c)}):")
+                        lines.append(f"{pad}    if not ({value(c)}):")
                         lines.append(f"{pad}        break")
                     block(b, pad + "    ")
                 case IfElse(cond=c, then_body=t, else_body=e):
                     step(pad)
-                    lines.append(f"{pad}if {cond(c)}:")
+                    lines.append(f"{pad}if {value(c)}:")
                     block(t, pad + "    ")
                     lines.append(f"{pad}else:")
                     block(e, pad + "    ")
-                case _:
-                    raise TypeError(f"not a Statement: {s!r}")
 
     block(stmts, " " * 8)
     head = [

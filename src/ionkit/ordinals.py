@@ -663,7 +663,10 @@ class DeadHydraError(OrdinalError):
 
 @dataclass(frozen=True, slots=True)
 class HydraTree:
-    """A hydra node. Its height and size (in nodes) are set from its children's."""
+    """A hydra node. Its height and size (in nodes) are set from its children's.
+
+    ``TypeError`` unless every child is a ``HydraTree``.
+    """
     children: tuple["HydraTree", ...] = ()
     height: int = field(init=False, compare=False, repr=False)
     size: int = field(init=False, compare=False, repr=False)
@@ -673,6 +676,8 @@ class HydraTree:
         kids = tuple(self.children)
         height, size = 0, 1
         for c in kids:  # one pass, cheaper than max() and sum() over two lists
+            if type(c) is not HydraTree:
+                raise TypeError(f"a hydra's children must be HydraTrees, not {c!r}")
             height = c.height + 1 if c.height >= height else height
             size += c.size
         if height >= NESTING_LIMIT:

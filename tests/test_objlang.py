@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import random
+import re
 import sys
 import threading
 import time
@@ -38,9 +39,7 @@ from ionkit.objlang import (
     TrueCond,
     Var,
     While,
-    _comma_scan,
-    _paren_scan,
-    _unary_scan,
+    _build_loop,
     check_closed,
     concat,
     escape_literal,
@@ -252,6 +251,33 @@ def test_concat_constructor_rejects_left_nesting():
     assert hash(listed) == hash(Concat((a, b)))
 
 
+# One wrong-kind value for each field of each node: refused as it is built.
+_WRONG_KIND = [
+    ("Print.expr", lambda: Print(TrueCond())),
+    ("Head.arg", lambda: Head(Print(Literal("")))),
+    ("Tail.arg", lambda: Tail("a")),
+    ("Equals.left", lambda: Equals(Not(TrueCond()), Literal(""))),
+    ("Equals.right", lambda: Equals(Literal(""), TrueCond())),
+    ("Not.inner", lambda: Not(Literal(""))),
+    ("Assign.expr", lambda: Assign("X", Not(TrueCond()))),
+    ("While.cond", lambda: While(Literal("a"), ())),
+    ("While.body", lambda: While(TrueCond(), Print(Literal("a")))),  # a bare statement
+    ("IfElse.cond", lambda: IfElse(Var("X"), (), ())),
+    ("IfElse.then_body", lambda: IfElse(TrueCond(), (Literal("a"),), ())),
+    ("IfElse.else_body", lambda: IfElse(TrueCond(), (), [Print(Var("X")), Not(TrueCond())])),
+    ("Concat.parts", lambda: Concat((Literal("a"), TrueCond()))),
+    ("Program.statements", lambda: Program([Literal("a")])),
+    ("Program.statements", lambda: Program(None)),
+]
+
+
+@pytest.mark.parametrize("field, build", _WRONG_KIND, ids=[f for f, _ in _WRONG_KIND])
+def test_a_node_refuses_a_field_of_the_wrong_kind(field, build):
+    kinds = "an expression|a condition|statements|expressions"
+    with pytest.raises(TypeError, match=rf"^{re.escape(field)} takes ({kinds}), not "):
+        build()
+
+
 def test_literal_rejects_unprintable():
     with pytest.raises(ValueError):
         Literal("\x00")
@@ -381,10 +407,10 @@ scan_text = st.text(alphabet=st.sampled_from("()I,x"), max_size=12)
 @st.composite
 def scan_loops(draw):
     """A scan loop under distinct names, after assignments to some of them."""
-    build, arity = draw(st.sampled_from([(_paren_scan, 4), (_unary_scan, 3), (_comma_scan, 2)]))
+    kind, arity = draw(st.sampled_from([("paren", 4), ("unary", 3), ("comma", 2)]))
     names = draw(esc_names)[:arity]
     preamble = tuple(Assign(n, Literal(draw(scan_text))) for n in names if draw(st.booleans()))
-    return IfElse(TrueCond(), preamble + (build(*names),), ())
+    return IfElse(TrueCond(), preamble + (_build_loop(kind, *names),), ())
 
 
 stmts = st.recursive(
@@ -1337,7 +1363,6 @@ def test_shared_escape_memos_stay_consistent_across_threads():
 # the four fused loops: one text each, one name binder
 # ---------------------------------------------------------------------------
 
-_BUILDERS = {"escape": escape_loop, "paren": _paren_scan, "unary": _unary_scan, "comma": _comma_scan}
 # The loops under their parameter names, then under the names the notation
 # skeletons use.
 _PINNED_LOOPS = [
@@ -1349,7 +1374,7 @@ _PINNED_LOOPS = [
 
 
 def test_fused_loops_are_pinned_and_their_texts_canonical():
-    loops = [_BUILDERS[kind](*names) for kind, names in _PINNED_LOOPS]
+    loops = [_build_loop(kind, *names) for kind, names in _PINNED_LOOPS]
     # the repr of the nine loops, pinned from when each was built of nested While/IfElse calls
     assert hashlib.sha256(repr(loops).encode()).hexdigest() == (
         "3d5b3095a231eccd77df1c1102094c50ad89470ad9faef271489301fab4fa6d2"
@@ -1361,24 +1386,24 @@ def test_fused_loops_are_pinned_and_their_texts_canonical():
 
 
 @pytest.mark.parametrize("bad", ["A,'')))", "End", "$dst", ""])
-@pytest.mark.parametrize("kind", _BUILDERS)
+@pytest.mark.parametrize("kind", objlang._FUSED_LOOPS)
 def test_fused_loop_builders_refuse_a_bad_name(kind, bad):
-    arity = _BUILDERS[kind].__code__.co_argcount
+    arity = len(objlang._FUSED_LOOPS[kind][1])
     reason = f"identifier {bad!r} is a reserved word" if bad == "End" else f"invalid identifier {bad!r}"
     for at in range(arity):
         names = ["N0", "N1", "N2", "N3"][:arity]
         names[at] = bad
         with pytest.raises(ValueError) as err:
-            _BUILDERS[kind](*names)
+            _build_loop(kind, *names)
         assert str(err.value) == reason
 
 
-@pytest.mark.parametrize("kind", _BUILDERS)
+@pytest.mark.parametrize("kind", objlang._FUSED_LOOPS)
 def test_fused_loops_match_exactly_under_distinct_names(kind):
     _, params, fuse = objlang._FUSED_LOOPS[kind]
     for names in itertools.product("ABCD", repeat=len(params)):
         want = (fuse, names) if len(set(names)) == len(names) else None
-        assert objlang._match_fused_loop(_BUILDERS[kind](*names)) == want, names
+        assert objlang._match_fused_loop(_build_loop(kind, *names)) == want, names
 
 
 # ---------------------------------------------------------------------------
@@ -1388,9 +1413,9 @@ def test_fused_loops_match_exactly_under_distinct_names(kind):
 @pytest.mark.parametrize(
     "loop, names, closure",
     [
-        (_paren_scan("P", "W", "M", "B"), ("P", "W", "M", "B"), "do_paren_scan"),
-        (_unary_scan("Q", "W", "K"), ("Q", "W", "K"), "do_unary_scan"),
-        (_comma_scan("S", "G"), ("S", "G"), "do_comma_scan"),
+        (_build_loop("paren", "P", "W", "M", "B"), ("P", "W", "M", "B"), "do_paren_scan"),
+        (_build_loop("unary", "Q", "W", "K"), ("Q", "W", "K"), "do_unary_scan"),
+        (_build_loop("comma", "S", "G"), ("S", "G"), "do_comma_scan"),
     ],
     ids=["paren", "unary", "comma"],
 )
@@ -1428,7 +1453,7 @@ def test_paren_scan_cost_is_pinned(depth, walk, acc, cost, rest, gained):
     assert cost == 6 * k + 2 * walk[:k].count(")")
     before = {"P": depth, "W": walk, "M": "m", "B": acc}
     after = {"P": "", "W": rest, "M": ")", "B": acc + gained}
-    _assert_block_cost(_paren_scan("P", "W", "M", "B"), before, cost, after)
+    _assert_block_cost(_build_loop("paren", "P", "W", "M", "B"), before, cost, after)
 
 
 @pytest.mark.parametrize(
@@ -1442,7 +1467,7 @@ def test_unary_scan_cost_is_pinned(walk, acc, cost, rest):
     assert cost == 5 * m + (4 if not rest else 5)
     before = {"Q": "xx", "W": walk, "K": acc}
     after = {"Q": "", "W": rest, "K": acc + "I" * m}
-    _assert_block_cost(_unary_scan("Q", "W", "K"), before, cost, after)
+    _assert_block_cost(_build_loop("unary", "Q", "W", "K"), before, cost, after)
 
 
 @pytest.mark.parametrize(
@@ -1454,36 +1479,38 @@ def test_comma_scan_cost_is_pinned(stack, acc, cost):
     assert cost == 3 * j + 1
     before = {"S": stack, "G": acc}
     after = {"S": stack[j:], "G": acc + stack[:j]}
-    _assert_block_cost(_comma_scan("S", "G"), before, cost, after)
+    _assert_block_cost(_build_loop("comma", "S", "G"), before, cost, after)
 
 
 @pytest.mark.parametrize(
-    "loop", [_paren_scan("P", "W", "M", "B"), _unary_scan("P", "W", "B")], ids=["paren", "unary"]
+    "loop",
+    [_build_loop("paren", "P", "W", "M", "B"), _build_loop("unary", "P", "W", "B")],
+    ids=["paren", "unary"],
 )
 def test_scan_with_an_empty_depth_or_flag_costs_one_step(loop):
     before = {"P": "", "W": "((I", "M": "m", "B": "b"}
     _assert_block_cost(loop, before, 1, before)
 
 
-_PAREN = _paren_scan("A", "B", "C", "D")
-_UNARY = _unary_scan("A", "B", "C")
-_COMMA = _comma_scan("A", "B")
+_PAREN = _build_loop("paren", "A", "B", "C", "D")
+_UNARY = _build_loop("unary", "A", "B", "C")
+_COMMA = _build_loop("comma", "A", "B")
 
 
 @pytest.mark.parametrize(
     "loop",
     [
         While(Not(Equals(Literal(""), Var("A"))), _PAREN.body),
-        _paren_scan("A", "A", "C", "D"),
-        _paren_scan("A", "B", "C", "A"),
-        _paren_scan("A", "B", "B", "D"),
+        _build_loop("paren", "A", "A", "C", "D"),
+        _build_loop("paren", "A", "B", "C", "A"),
+        _build_loop("paren", "A", "B", "B", "D"),
         While(_PAREN.cond, _PAREN.body + (Assign("D", Var("D")),)),
         While(Not(Equals(Literal(""), Var("A"))), _UNARY.body),
-        _unary_scan("A", "A", "C"),
-        _unary_scan("A", "B", "A"),
+        _build_loop("unary", "A", "A", "C"),
+        _build_loop("unary", "A", "B", "A"),
         While(_UNARY.cond, _UNARY.body + (Assign("C", Var("C")),)),
         While(Not(Equals(Literal(","), Head(Var("A")))), _COMMA.body),
-        _comma_scan("A", "A"),
+        _build_loop("comma", "A", "A"),
         While(_COMMA.cond, _COMMA.body + (Assign("B", Var("B")),)),
         _edited(_PAREN, "Equals(C,'(')", "Equals(C,'[')"),
         _edited(_PAREN, "C=Head(B)", "C=Tail(B)"),
@@ -1515,14 +1542,14 @@ def test_scan_loop_near_misses_take_the_plain_path(loop):
 @pytest.mark.parametrize(
     "loop, values, limit",
     [
-        (_paren_scan("P", "W", "M", "B"), {"P": "I", "W": "(()I", "M": "", "B": ""}, None),
-        (_paren_scan("P", "W", "M", "B"), {"P": "III", "W": "))", "M": "", "B": "b"}, None),
-        (_paren_scan("P", "W", "M", "B"), {"P": "I", "W": "((((()))))", "M": "", "B": ""}, 4),
-        (_paren_scan("P", "W", "M", "B"), {"P": "I", "W": "abcdef)", "M": "", "B": "bb"}, 6),
-        (_unary_scan("Q", "W", "K"), {"Q": "x", "W": "IIIIII(", "K": "kkk"}, 6),
-        (_comma_scan("S", "G"), {"S": "ab", "G": "g"}, None),
-        (_comma_scan("S", "G"), {"S": "", "G": "g"}, None),
-        (_comma_scan("S", "G"), {"S": "abcdef,", "G": "gg"}, 5),
+        (_build_loop("paren", "P", "W", "M", "B"), {"P": "I", "W": "(()I", "M": "", "B": ""}, None),
+        (_build_loop("paren", "P", "W", "M", "B"), {"P": "III", "W": "))", "M": "", "B": "b"}, None),
+        (_build_loop("paren", "P", "W", "M", "B"), {"P": "I", "W": "((((()))))", "M": "", "B": ""}, 4),
+        (_build_loop("paren", "P", "W", "M", "B"), {"P": "I", "W": "abcdef)", "M": "", "B": "bb"}, 6),
+        (_build_loop("unary", "Q", "W", "K"), {"Q": "x", "W": "IIIIII(", "K": "kkk"}, 6),
+        (_build_loop("comma", "S", "G"), {"S": "ab", "G": "g"}, None),
+        (_build_loop("comma", "S", "G"), {"S": "", "G": "g"}, None),
+        (_build_loop("comma", "S", "G"), {"S": "abcdef,", "G": "gg"}, 5),
         (escape_loop("W", "H", "D"), {"W": "ab'c", "H": "", "D": "123456"}, 10),
     ],
     ids=["paren_walk_runs_out", "paren_no_open", "paren_depth_too_long", "paren_acc_too_long",
@@ -1571,7 +1598,7 @@ def test_paren_scan_matches_the_passes_at_every_step_budget(run):
         Assign("W", Tail(Literal("x" + walk))),
         Assign("M", Literal("m")),
         Assign("B", Literal(acc)),
-        _paren_scan("P", "W", "M", "B"),
+        _build_loop("paren", "P", "W", "M", "B"),
         Print(Var("P")), Print(Var("W")), Print(Var("M")), Print(Var("B")),
     ))
     full = _fast_and_plain(p, Fuel(10**5, 4))
@@ -1599,9 +1626,9 @@ def _as_rope(kind: str, text: str):
 # A scan loop, its other values, the name of its walk or stack, and the text
 # it consumes from there.
 _SCANS = {
-    "paren": (_paren_scan("P", "W", "M", "B"), {"P": "I", "M": "m", "B": "b"}, "W", "(a))"),
-    "unary": (_unary_scan("Q", "W", "K"), {"Q": "x", "K": "k"}, "W", "II"),
-    "comma": (_comma_scan("S", "G"), {"G": "g"}, "S", "ab"),
+    "paren": (_build_loop("paren", "P", "W", "M", "B"), {"P": "I", "M": "m", "B": "b"}, "W", "(a))"),
+    "unary": (_build_loop("unary", "Q", "W", "K"), {"Q": "x", "K": "k"}, "W", "II"),
+    "comma": (_build_loop("comma", "S", "G"), {"G": "g"}, "S", "ab"),
 }
 
 

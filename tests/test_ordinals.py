@@ -388,6 +388,12 @@ def test_path_hydra_stage_two_duplication():
     assert hydra_to_ordinal(after) == from_int(2)
 
 
+@pytest.mark.parametrize("children", ["()", (1,), [HydraTree(), None]], ids=["str", "int", "None"])
+def test_a_hydra_refuses_a_child_that_is_not_a_hydra(children):
+    with pytest.raises(TypeError, match=r"^a hydra's children must be HydraTrees, not "):
+        HydraTree(children)
+
+
 @pytest.mark.parametrize("stage", [1.5, True, 0])
 def test_hydra_step_refuses_a_stage_that_is_not_an_int_of_at_least_1(stage):
     with pytest.raises(ValueError, match=r"^stage must be an int >= 1$"):
